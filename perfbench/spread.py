@@ -54,7 +54,7 @@ def main():
         spread = (q[2] - q[0]) / median if median else 0.0
         bound = bounds.get(name)
         flag = ""
-        if bound is not None and name != "setup_s" and spread > bound / 3:
+        if bound is not None and spread > bound / 3:
             flag = "  <-- above a third of the bound"
         print("%-28s median %14.6g  spread %7.4f  bound %s%s"
               % (name, median, spread, bound, flag))

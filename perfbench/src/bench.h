@@ -27,7 +27,7 @@ using Clock = std::chrono::steady_clock;
 double SecondsSince(Clock::time_point start);
 /// User + system CPU seconds of the whole process (getrusage).
 double CpuSeconds();
-/// Peak resident set size of the process in MB (getrusage ru_maxrss).
+/// Peak resident set size of the process in MB (VmHWM).
 double PeakRssMb();
 
 double Median(std::vector<double> values);
@@ -42,7 +42,7 @@ double PercentileOfSorted(const std::vector<T>& sorted, double p) {
   return static_cast<double>(sorted[rank - 1]);
 }
 /// Samples ranked above percentile p of n.
-std::int64_t SamplesBeyond(std::size_t n, double p);
+std::int64_t SamplesBeyond(std::int64_t n, double p);
 
 /// The tail percentile every latency metric reports. At the benchmark's
 /// run length every workload has at least 50 samples beyond it, while p99
@@ -97,6 +97,9 @@ struct Reference {
   double best_speedup_geomean = 0.0;
   double outperform_share = 0.0;
   double top10_accuracy = 0.0;
+  /// Requests that rank more than 10 measured programs: only on these can
+  /// top10_accuracy's check fail.
+  std::int64_t top10_decisive = 0;
   /// Guided top-k candidates the pipeline's early stopping left unmeasured.
   std::int64_t guided_skipped = 0;
   /// Requests whose independent answer checks failed (CheckAnswer).
@@ -130,8 +133,16 @@ void Quality(const std::vector<p2::engine::ExperimentResult>& results,
 /// benchmark was sized on.
 inline constexpr int kClients = 4;
 inline constexpr int kPoolThreads = 4;
-/// Set-ups per run; setup_s is their median.
+/// Repeats of the layer timings in the traced run; each figure is their
+/// median.
 inline constexpr int kSetupRepeats = 25;
+/// The timed phase of grid-measure and wire-small runs in kSegments equal
+/// parts, with a round of kSetupsPerRound set-ups before each; guided-racked
+/// sets up a service before each of its passes. setup_s, the median of all
+/// of them, so samples the shared host's speed across the whole run: a
+/// single block of set-ups lands in one fast or slow spell.
+inline constexpr int kSegments = 10;
+inline constexpr int kSetupsPerRound = 10;
 
 /// Hands out request ids pass by pass: each pass is a fresh seeded
 /// permutation of every distinct request. A new pass starts only while
@@ -156,16 +167,40 @@ class Dispenser {
   int passes_ = 0;
 };
 
-/// Per-request samples of one closed-loop phase, as floats: four bytes a
-/// request keep the benchmark's own memory from moving peak_rss_mb with the
-/// request count.
+/// Latencies counted into fixed log-linear bins of nanoseconds: exact below
+/// 2^kSubBits ns, and above that 2^kSubBits bins per octave, so a value is
+/// kept to within 2^-kSubBits (0.1%) of itself. The bins are allocated and
+/// zeroed at the first sample, so the benchmark's own memory does not grow
+/// with the request count and cannot move peak_rss_mb with throughput.
+class LatencyBins {
+ public:
+  void Add(double seconds);
+  void Merge(const LatencyBins& other);
+  std::int64_t count() const { return count_; }
+  double sum_s() const { return sum_s_; }
+  /// The sample at rank ceil(p/100 * n), clamped to [1, n], as the middle
+  /// of its bin, in seconds; 0 without samples.
+  double Percentile(double p) const;
+
+ private:
+  static constexpr int kSubBits = 10;
+  static constexpr int kMaxOctave = 38;  // 2^38 ns, about 275 s
+  static constexpr std::size_t kBins =
+      static_cast<std::size_t>(kMaxOctave - kSubBits + 2) << kSubBits;
+
+  std::vector<std::uint32_t> bins_;
+  std::int64_t count_ = 0;
+  double sum_s_ = 0.0;
+};
+
+/// Per-request latencies of one closed-loop phase.
 struct Samples {
-  std::vector<float> latency_s;
+  LatencyBins latency;
   /// Caller-observed latency minus the pipeline's own total_seconds: the
   /// time a request spends outside the pipeline (service admission and
   /// queueing in process; plus the wire and the server on the wire). Only
   /// recorded when asked for (the traced run).
-  std::vector<float> outside_pipeline_s;
+  LatencyBins outside_pipeline;
   std::int64_t completed = 0;
   /// Requests that failed, were refused, or answered something other than
   /// the reference text.
@@ -175,8 +210,7 @@ struct Samples {
   void Record(double latency, double pipeline_total, bool outside);
 };
 
-/// Merges per-client samples, freeing each as it goes.
-Samples MergeAll(std::vector<Samples>& per_client);
+Samples MergeAll(const std::vector<Samples>& per_client);
 
 /// Closed loop in process: `clients` threads each Submit() the dispenser's
 /// next request, wait for the result, and check it against the reference.

@@ -106,16 +106,20 @@ void Quality(const std::vector<p2::engine::ExperimentResult>& results,
     }
     if (predicted_best == nullptr) continue;
     int rank = 0;
+    int ranked = 0;
     for (const auto& placement : result.placements) {
       for (const auto& program : placement.programs) {
-        if (program.measured &&
-            program.measured_seconds < predicted_best->measured_seconds) {
+        if (!program.measured) continue;
+        ++ranked;
+        if (program.measured_seconds < predicted_best->measured_seconds) {
           ++rank;
         }
       }
     }
     ++experiments;
     if (rank < 10) ++top10;
+    // With 10 or fewer programs ranked, the top 10 holds every one of them.
+    if (ranked > 10) ++reference->top10_decisive;
   }
   reference->best_speedup_geomean =
       placements > 0 ? std::exp(log_speedup_sum / static_cast<double>(placements))

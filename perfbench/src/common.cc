@@ -1,7 +1,10 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 
 #include "bench.h"
@@ -24,9 +27,16 @@ double CpuSeconds() {
 }
 
 double PeakRssMb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  // VmHWM, not getrusage's ru_maxrss: Linux carries ru_maxrss over exec, so
+  // under a launcher bigger than the benchmark it reads the launcher's size.
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+    }
+  }
+  throw std::runtime_error("no VmHWM in /proc/self/status");
 }
 
 double Median(std::vector<double> values) {
@@ -36,10 +46,55 @@ double Median(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-std::int64_t SamplesBeyond(std::size_t n, double p) {
+std::int64_t SamplesBeyond(std::int64_t n, double p) {
   const auto rank = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(p / 100.0 * static_cast<double>(n))));
-  return static_cast<std::int64_t>(n) - rank;
+  return n - rank;
+}
+
+void LatencyBins::Add(double seconds) {
+  if (bins_.empty()) bins_.assign(kBins, 0);
+  ++count_;
+  sum_s_ += seconds;
+  // Clamped to [0, 2^(kMaxOctave + 1)) ns before the conversion.
+  const double ns = std::min(
+      std::round(seconds * 1e9),
+      static_cast<double>((std::uint64_t{1} << (kMaxOctave + 1)) - 1));
+  const std::uint64_t v = ns > 0.0 ? static_cast<std::uint64_t>(ns) : 0;
+  std::size_t bin = static_cast<std::size_t>(v);
+  if (v >= (std::uint64_t{1} << kSubBits)) {
+    // Octave e keeps the kSubBits bits below its leading one.
+    const int shift = std::bit_width(v) - 1 - kSubBits;
+    bin = (static_cast<std::size_t>(shift) << kSubBits) +
+          static_cast<std::size_t>(v >> shift);
+  }
+  ++bins_[bin];
+}
+
+void LatencyBins::Merge(const LatencyBins& other) {
+  if (other.count_ == 0) return;
+  if (bins_.empty()) bins_.assign(kBins, 0);
+  for (std::size_t i = 0; i < kBins; ++i) bins_[i] += other.bins_[i];
+  count_ += other.count_;
+  sum_s_ += other.sum_s_;
+}
+
+double LatencyBins::Percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  auto rank = static_cast<std::int64_t>(
+      std::ceil(p / 100.0 * static_cast<double>(count_)));
+  rank = std::clamp<std::int64_t>(rank, 1, count_);
+  std::size_t bin = 0;
+  for (std::int64_t seen = 0; bin < kBins; ++bin) {
+    seen += bins_[bin];
+    if (seen >= rank) break;
+  }
+  // Inverse of Add: bins below 2^(kSubBits + 1) hold one nanosecond each.
+  const std::size_t shift =
+      bin < (std::size_t{2} << kSubBits) ? 0 : (bin >> kSubBits) - 1;
+  const double low = static_cast<double>((bin - (shift << kSubBits)) << shift);
+  const double width = static_cast<double>(std::uint64_t{1} << shift);
+  return (low + (width - 1.0) / 2.0) * 1e-9;
 }
 
 std::vector<int> SeededPermutation(int n, Rng& rng) {

@@ -39,33 +39,22 @@ int Dispenser::passes() const {
   return passes_;
 }
 
-void Samples::Record(double latency, double pipeline_total, bool outside) {
-  latency_s.push_back(static_cast<float>(latency));
-  if (outside) {
-    outside_pipeline_s.push_back(static_cast<float>(latency - pipeline_total));
-  }
-}
-
-Samples MergeAll(std::vector<Samples>& per_client) {
-  Samples merged;
-  std::size_t total = 0;
-  for (const auto& s : per_client) total += s.latency_s.size();
-  merged.latency_s.reserve(total);
-  for (auto& s : per_client) {
-    merged.Merge(s);
-    s = Samples();
-  }
-  return merged;
+void Samples::Record(double latency_s, double pipeline_total, bool outside) {
+  latency.Add(latency_s);
+  if (outside) outside_pipeline.Add(latency_s - pipeline_total);
 }
 
 void Samples::Merge(const Samples& other) {
-  latency_s.insert(latency_s.end(), other.latency_s.begin(),
-                   other.latency_s.end());
-  outside_pipeline_s.insert(outside_pipeline_s.end(),
-                            other.outside_pipeline_s.begin(),
-                            other.outside_pipeline_s.end());
+  latency.Merge(other.latency);
+  outside_pipeline.Merge(other.outside_pipeline);
   completed += other.completed;
   failed += other.failed;
+}
+
+Samples MergeAll(const std::vector<Samples>& per_client) {
+  Samples merged;
+  for (const auto& s : per_client) merged.Merge(s);
+  return merged;
 }
 
 Samples RunInProcess(p2::engine::PlannerService& service,
@@ -226,28 +215,54 @@ Clock::time_point After(double seconds) {
                             std::chrono::duration<double>(seconds));
 }
 
-/// One long-lived service, already warm; whole passes until the deadline.
+/// One round of set-ups, each from nothing to a service that can serve the
+/// workload's first request (on wire-small with its server bound), and each
+/// torn down again untimed.
+void SetUpRound(const Workload& workload,
+                const p2::engine::PlannerServiceOptions& options,
+                std::vector<double>* setups_s) {
+  const bool wire = workload.kind == Kind::kWireSmall;
+  for (int i = 0; i < kSetupsPerRound; ++i) {
+    const auto start = Clock::now();
+    const auto service = MakeService(workload, options);
+    std::unique_ptr<p2::server::PlannerServer> server;
+    if (wire) server = std::make_unique<p2::server::PlannerServer>(*service);
+    setups_s->push_back(SecondsSince(start));
+    if (wire && (service->cache_load_status() != p2::engine::CacheLoadStatus::kOk ||
+                 service->cache_entries_loaded() == 0)) {
+      throw std::runtime_error("the server did not warm-start from " +
+                               options.cache_file + ": " +
+                               service->cache_load_message());
+    }
+  }  // the server shuts down before its service goes
+}
+
+/// One long-lived service, already warm; whole passes until each segment's
+/// deadline.
 Timed RunGridMeasure(const Workload& workload, const RunOptions& options,
                      Rng& rng, const Reference& reference,
                      p2::engine::PlannerService& service) {
   Timed timed;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  int passes = 0;
+  for (int segment = 0; segment < kSegments; ++segment) {
+    SetUpRound(workload, ServiceOptions(), &timed.setups_s);
     const auto start = Clock::now();
-    const auto fresh = MakeService(workload, ServiceOptions());
-    timed.setups_s.push_back(SecondsSince(start));
+    const double cpu_start = CpuSeconds();
+    Dispenser dispenser(static_cast<int>(workload.requests.size()), &rng,
+                        1 << 30, After(options.seconds / kSegments));
+    timed.samples.Merge(
+        RunInProcess(service, workload, reference, dispenser, kClients));
+    timed.elapsed_s += SecondsSince(start);
+    timed.cpu_s += CpuSeconds() - cpu_start;
+    passes += dispenser.passes();
   }
-  const auto start = Clock::now();
-  const double cpu_start = CpuSeconds();
-  Dispenser passes(static_cast<int>(workload.requests.size()), &rng, 1 << 30,
-                   After(options.seconds));
-  timed.samples = RunInProcess(service, workload, reference, passes, kClients);
-  timed.elapsed_s = SecondsSince(start);
-  timed.cpu_s = CpuSeconds() - cpu_start;
-  timed.note = "timed passes: " + std::to_string(passes.passes());
+  timed.note = "timed passes: " + std::to_string(passes);
   return timed;
 }
 
 /// A fresh service with a cold cache per pass; only the requests are timed.
+/// Each pass's service is also a set-up sample, so these too are spread over
+/// the run.
 Timed RunGuidedRacked(const Workload& workload, const RunOptions& options,
                       Rng& rng, const Reference& reference) {
   Timed timed;
@@ -266,45 +281,38 @@ Timed RunGuidedRacked(const Workload& workload, const RunOptions& options,
     timed.cpu_s += CpuSeconds() - cpu_start;
     ++passes;
   }
-  while (static_cast<int>(timed.setups_s.size()) < kSetupRepeats) {
-    const auto setup_start = Clock::now();
-    const auto service = MakeService(workload, ServiceOptions());
-    timed.setups_s.push_back(SecondsSince(setup_start));
+  if (static_cast<int>(timed.setups_s.size()) < kSetupsPerRound) {
+    SetUpRound(workload, ServiceOptions(), &timed.setups_s);
   }
   timed.note = "passes: " + std::to_string(passes);
   return timed;
 }
 
-/// A server warm-started from the reference's cache file; 4 connections.
+/// A server warm-started from the reference's cache file; 4 connections,
+/// opened anew in every segment.
 Timed RunWireSmall(const Workload& workload, const RunOptions& options,
-                   const std::string& cache_file, const Reference& reference) {
+                   Rng& rng, const std::string& cache_file,
+                   const Reference& reference) {
   auto service_options = ServiceOptions();
   service_options.cache_file = cache_file;
   service_options.cache_readonly = true;
 
   Timed timed;
-  std::unique_ptr<p2::engine::PlannerService> service;
-  std::unique_ptr<p2::server::PlannerServer> server;
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    server.reset();  // shuts the previous server down
-    service.reset();
-    const auto start = Clock::now();
-    service = MakeService(workload, service_options);
-    server = std::make_unique<p2::server::PlannerServer>(*service);
-    timed.setups_s.push_back(SecondsSince(start));
-    if (service->cache_load_status() != p2::engine::CacheLoadStatus::kOk ||
-        service->cache_entries_loaded() == 0) {
-      throw std::runtime_error("the server did not warm-start from " +
-                               cache_file + ": " +
-                               service->cache_load_message());
-    }
+  const auto service = MakeService(workload, service_options);
+  p2::server::PlannerServer server(*service);
+  for (int segment = 0; segment < kSegments; ++segment) {
+    SetUpRound(workload, service_options, &timed.setups_s);
+    WireLoad load;
+    load.seed = rng();
+    load.seconds = options.seconds / kSegments;
+    load.warm_up = segment == 0;
+    double elapsed_s = 0.0;
+    double cpu_s = 0.0;
+    timed.samples.Merge(RunWire(server.port(), workload, reference, load,
+                                &elapsed_s, &cpu_s));
+    timed.elapsed_s += elapsed_s;
+    timed.cpu_s += cpu_s;
   }
-  WireLoad load;
-  load.seed = options.seed;
-  load.seconds = options.seconds;
-  load.warm_up = true;
-  timed.samples = RunWire(server->port(), workload, reference, load,
-                          &timed.elapsed_s, &timed.cpu_s);
   timed.note = "cache entries loaded: " +
                std::to_string(service->cache_entries_loaded());
   return timed;
@@ -312,22 +320,19 @@ Timed RunWireSmall(const Workload& workload, const RunOptions& options,
 
 Outcome Report(const Workload& workload, const Reference& reference,
                const Samples& warm, Timed timed) {
-  auto& latency = timed.samples.latency_s;
-  std::sort(latency.begin(), latency.end());
+  const LatencyBins& latency = timed.samples.latency;
 
   Outcome outcome;
-  outcome.attempted = static_cast<std::int64_t>(latency.size()) +
-                      static_cast<std::int64_t>(warm.latency_s.size()) +
-                      reference.checks_run;
+  outcome.attempted =
+      latency.count() + warm.latency.count() + reference.checks_run;
   outcome.failed = timed.samples.failed + warm.failed + reference.checks_failed;
   outcome.metrics = {
       {"plans_per_s",
        static_cast<double>(timed.samples.completed) / timed.elapsed_s, "1/s"},
-      {"latency_p50_ms", PercentileOfSorted(latency, 50.0) * 1e3, "ms"},
-      {"latency_tail_ms", PercentileOfSorted(latency, kTailPercentile) * 1e3,
-       "ms"},
+      {"latency_p50_ms", latency.Percentile(50.0) * 1e3, "ms"},
+      {"latency_tail_ms", latency.Percentile(kTailPercentile) * 1e3, "ms"},
       {"cpu_ms_per_plan",
-       timed.cpu_s * 1e3 / static_cast<double>(latency.size()), "ms"},
+       timed.cpu_s * 1e3 / static_cast<double>(latency.count()), "ms"},
       {"setup_s", Median(timed.setups_s), "s"},
       {"peak_rss_mb", PeakRssMb(), "MB"},
       {"best_speedup_geomean", reference.best_speedup_geomean, "x"},
@@ -335,17 +340,21 @@ Outcome Report(const Workload& workload, const Reference& reference,
   };
   char line[256];
   std::snprintf(line, sizeof(line),
-                "latency_tail_ms is p%g with %lld of %zu samples beyond it; "
+                "latency_tail_ms is p%g with %lld of %lld samples beyond it; "
                 "p99 %.6f ms",
                 kTailPercentile,
                 static_cast<long long>(
-                    SamplesBeyond(latency.size(), kTailPercentile)),
-                latency.size(), PercentileOfSorted(latency, 99.0) * 1e3);
+                    SamplesBeyond(latency.count(), kTailPercentile)),
+                static_cast<long long>(latency.count()),
+                latency.Percentile(99.0) * 1e3);
   outcome.notes.push_back(line);
   std::snprintf(line, sizeof(line),
-                "outperform_share %.6f; guided candidates skipped %lld",
+                "outperform_share %.6f; guided candidates skipped %lld; "
+                "top10_accuracy decisive on %lld of %zu requests",
                 reference.outperform_share,
-                static_cast<long long>(reference.guided_skipped));
+                static_cast<long long>(reference.guided_skipped),
+                static_cast<long long>(reference.top10_decisive),
+                workload.requests.size());
   outcome.notes.push_back(line);
   std::snprintf(line, sizeof(line),
                 "failed_share %.6g (%lld failed of %lld attempted); %zu "
@@ -357,6 +366,15 @@ Outcome Report(const Workload& workload, const Reference& reference,
                 workload.requests.size());
   outcome.notes.push_back(line);
   outcome.notes.push_back(timed.note);
+  auto setups = timed.setups_s;
+  std::sort(setups.begin(), setups.end());
+  std::snprintf(line, sizeof(line),
+                "set-ups %zu: min %.6f p25 %.6f p50 %.6f p75 %.6f max %.6f ms",
+                setups.size(), setups.front() * 1e3,
+                PercentileOfSorted(setups, 25.0) * 1e3,
+                PercentileOfSorted(setups, 50.0) * 1e3,
+                PercentileOfSorted(setups, 75.0) * 1e3, setups.back() * 1e3);
+  outcome.notes.push_back(line);
   return outcome;
 }
 
@@ -403,7 +421,7 @@ Outcome RunMeasured(const Workload& workload, const RunOptions& options) {
       break;
     case Kind::kWireSmall:
       service.reset();
-      timed = RunWireSmall(workload, options, cache_file, reference);
+      timed = RunWireSmall(workload, options, rng, cache_file, reference);
       break;
   }
   return Report(workload, reference, warm, std::move(timed));

@@ -178,6 +178,9 @@ struct Counts {
 /// Requests the traced run of wire-small sends over the wire.
 constexpr int kTracedWireRequests = 2000;
 
+/// Pairs of traced and untraced replays behind trace.overhead_pct.
+constexpr int kOverheadPairs = 3;
+
 /// Deepest signature the reference DFS re-synthesizes in the traced run.
 constexpr int kMaxReferenceDepth = 3;
 
@@ -478,7 +481,7 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
       const Samples warm =
           RunInProcess(*service, workload, reference, warm_up, kClients);
       outcome.failed += warm.failed;
-      outcome.attempted += static_cast<std::int64_t>(warm.latency_s.size());
+      outcome.attempted += warm.latency.count();
     }
     Dispenser pass(n, &rng, 1);
     service_samples =
@@ -497,32 +500,32 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
     server.Shutdown();
   }
   for (const Samples* s : {&service_samples, &probe_samples}) {
-    outcome.attempted += static_cast<std::int64_t>(s->latency_s.size());
+    outcome.attempted += s->latency.count();
     outcome.failed += s->failed;
   }
   const Samples& wire_samples = workload.kind == Kind::kWireSmall
                                     ? service_samples
                                     : probe_samples;
 
-  // The replay, traced, then once more with only the request spans for the
-  // tracing overhead.
+  // The replay: an untimed pass that warms the heap and the engines, then
+  // pairs of a traced pass and one with only the request spans, in
+  // alternating order. The first traced pass gives the layer figures; the
+  // median of the pairs' differences is the tracing overhead.
   std::map<std::string, std::unique_ptr<p2::engine::Engine>> engines;
   for (const auto& cluster : workload.clusters) {
     engines[cluster.Fingerprint()] =
         std::make_unique<p2::engine::Engine>(cluster, BenchEngineOptions());
   }
-  Tracer tracer(true);
-  Tracer untraced(false);
   Memo memo;
   Counts counts;
-  for (Tracer* t : {&tracer, &untraced}) {
+  const auto replay = [&](Tracer& tracer, bool keep) {
     Memo pass_memo;
     Counts pass_counts;
     for (const int id : order) {
       const Request& request = workload.requests[static_cast<std::size_t>(id)];
       std::string error;
       ++outcome.attempted;
-      if (!ReplayRequest(*t, *engines.at(request.cluster.Fingerprint()),
+      if (!ReplayRequest(tracer, *engines.at(request.cluster.Fingerprint()),
                          request, answers[static_cast<std::size_t>(id)],
                          pass_memo, pass_counts, &error)) {
         ++outcome.failed;
@@ -530,10 +533,28 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
                      request.config.ToString().c_str(), error.c_str());
       }
     }
-    if (t == &tracer) {
+    if (keep) {
       memo = std::move(pass_memo);
       counts = std::move(pass_counts);
     }
+  };
+  Tracer warm_up(false);
+  replay(warm_up, false);
+  Tracer tracer(true);
+  std::vector<double> overheads_pct;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    Tracer later(true);
+    Tracer traced_only_requests(false);
+    Tracer& traced = pair == 0 ? tracer : later;
+    if (pair % 2 == 0) {
+      replay(traced, pair == 0);
+      replay(traced_only_requests, false);
+    } else {
+      replay(traced_only_requests, false);
+      replay(traced, false);
+    }
+    const double base = traced_only_requests.RootSeconds();
+    overheads_pct.push_back(Percent(traced.RootSeconds() - base, base));
   }
   const std::string stem = (std::filesystem::path(options.out_dir) /
                             (workload.name + "-seed" +
@@ -575,18 +596,8 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
     return it == self.end() ? 0.0 : it->second * 1e3;
   };
   const double replay_ms = tracer.RootSeconds() * 1e3;
-  const double untraced_ms = untraced.RootSeconds() * 1e3;
 
-  std::vector<float> queue = service_samples.outside_pipeline_s;
-  std::sort(queue.begin(), queue.end());
-  std::vector<float> overhead = wire_samples.outside_pipeline_s;
-  std::sort(overhead.begin(), overhead.end());
-  double outside_sum = 0.0;
-  double latency_sum = 0.0;
-  for (std::size_t i = 0; i < service_samples.latency_s.size(); ++i) {
-    outside_sum += service_samples.outside_pipeline_s[i];
-    latency_sum += service_samples.latency_s[i];
-  }
+  const LatencyBins& queue = service_samples.outside_pipeline;
   const auto& cache = service_stats.cache;
   const auto ratio = [](std::int64_t part, std::int64_t whole) {
     return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
@@ -634,9 +645,8 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
         reference.pipeline_evaluation_s) *
            1e3,
        "ms"},
-      {"service.queue_p50_ms", PercentileOfSorted(queue, 50.0) * 1e3, "ms"},
-      {"service.queue_tail_ms", PercentileOfSorted(queue, kTailPercentile) * 1e3,
-       "ms"},
+      {"service.queue_p50_ms", queue.Percentile(50.0) * 1e3, "ms"},
+      {"service.queue_tail_ms", queue.Percentile(kTailPercentile) * 1e3, "ms"},
       {"service.peak_in_flight", count(service_stats.peak_in_flight), "count"},
       {"service.rejected", count(service_stats.rejected), "count"},
       {"report.render_ms", self_ms(kReport), "ms"},
@@ -644,19 +654,20 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
       {"wire.encode_ms", self_ms(kWireEncode), "ms"},
       {"wire.decode_ms", self_ms(kWireDecode), "ms"},
       {"wire.response_bytes", count(counts.response_bytes), "bytes"},
-      {"wire.overhead_ms", PercentileOfSorted(overhead, 50.0) * 1e3, "ms"},
+      {"wire.overhead_ms", wire_samples.outside_pipeline.Percentile(50.0) * 1e3,
+       "ms"},
       {"cache_store.load_ms", cache_load_s * 1e3, "ms"},
       {"cache_store.entries", count(cache_entries), "count"},
       {"topology.engine_build_ms", Median(builds) * 1e3, "ms"},
       {"trace.replay_ms", replay_ms, "ms"},
-      {"trace.overhead_pct", Percent(replay_ms - untraced_ms, untraced_ms),
-       "%"},
+      {"trace.overhead_pct", Median(overheads_pct), "%"},
       {"answer.outperform_share", reference.outperform_share, "ratio"},
       {"share.runtime_pct", Percent(self_ms(kRuntime), replay_ms), "%"},
       {"share.lowering_pct", Percent(self_ms(kLowering), replay_ms), "%"},
       {"share.cost_pct", Percent(self_ms(kCost), replay_ms), "%"},
       {"share.synthesizer_pct", Percent(self_ms(kSynthesizer), replay_ms), "%"},
-      {"share.outside_pipeline_pct", Percent(outside_sum, latency_sum), "%"},
+      {"share.outside_pipeline_pct",
+       Percent(queue.sum_s(), service_samples.latency.sum_s()), "%"},
   };
   char line[256];
   for (const auto& [layer, seconds] : self) {
@@ -666,10 +677,10 @@ Outcome RunTraced(const Workload& workload, const RunOptions& options) {
     outcome.notes.push_back(line);
   }
   std::snprintf(line, sizeof(line),
-                "service.queue_tail_ms is p%g with %lld of %zu samples beyond",
+                "service.queue_tail_ms is p%g with %lld of %lld samples beyond",
                 kTailPercentile,
-                static_cast<long long>(SamplesBeyond(queue.size(), kTailPercentile)),
-                queue.size());
+                static_cast<long long>(SamplesBeyond(queue.count(), kTailPercentile)),
+                static_cast<long long>(queue.count()));
   outcome.notes.push_back(line);
   outcome.notes.push_back("trace written to " + stem + ".trace.json");
   return outcome;
