@@ -531,7 +531,11 @@ int main(int argc, char** argv) {
                   FormatSeconds(v.synth_seconds), std::to_string(v.placements),
                   std::to_string(v.unique), cache,
                   std::to_string(v.disk_hits), FormatSeconds(v.saved_seconds),
-                  p2::engine::FormatSpeedup(serial.seconds / v.seconds)});
+                  // A speedup only compares equal work: rows that evaluate a
+                  // different placement set than serial get none.
+                  v.placements == serial.placements
+                      ? p2::engine::FormatSpeedup(serial.seconds / v.seconds)
+                      : "-"});
   };
   row("serial", serial);
   row("cached", cached);

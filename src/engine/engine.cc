@@ -9,6 +9,26 @@
 
 namespace p2::engine {
 
+namespace {
+
+// The single-placement entry points run the pipeline's loop on a list of
+// one, through a throwaway single-query service: they predate the
+// long-lived PlannerService and keep their one-shot, cacheless semantics.
+PlacementEvaluation EvaluateOnePlacement(const Engine& engine,
+                                         const core::ParallelismMatrix& matrix,
+                                         std::span<const int> reduction_axes,
+                                         int measure_top_k) {
+  PlannerService service(engine);
+  PipelineOptions options;
+  options.cache_synthesis = false;
+  options.measure_top_k = measure_top_k;
+  Pipeline pipeline(service, engine, options);
+  return std::move(
+      pipeline.Run(std::span(&matrix, 1), reduction_axes).placements.front());
+}
+
+}  // namespace
+
 int PlacementEvaluation::BestMeasuredIndex() const {
   if (programs.empty()) return -1;
   // Seed the comparison from the first *measured* program: under guided
@@ -98,14 +118,8 @@ ProgramEvaluation Engine::EvaluateProgram(const core::SynthesisHierarchy& sh,
 PlacementEvaluation Engine::EvaluatePlacement(
     const core::ParallelismMatrix& matrix,
     std::span<const int> reduction_axes) const {
-  // A throwaway single-query service: this entry point predates the
-  // long-lived PlannerService and keeps its one-shot, cacheless semantics.
-  PlannerService service(*this);
-  Pipeline pipeline(service, *this,
-                    PipelineOptions{.cache_synthesis = false,
-                                    .measure_top_k = -1,
-                                    .cancel = {}});
-  return pipeline.EvaluatePlacement(matrix, reduction_axes);
+  return EvaluateOnePlacement(*this, matrix, reduction_axes,
+                              /*measure_top_k=*/-1);
 }
 
 PlacementEvaluation Engine::EvaluatePlacementGuided(
@@ -113,13 +127,8 @@ PlacementEvaluation Engine::EvaluatePlacementGuided(
     std::span<const int> reduction_axes, int measure_top_k) const {
   // Clamp: negative k means "measure nothing beyond the baseline" here,
   // while a negative PipelineOptions::measure_top_k would mean "not guided".
-  PlannerService service(*this);
-  Pipeline pipeline(service, *this,
-                    PipelineOptions{.cache_synthesis = false,
-                                    .measure_top_k =
-                                        std::max(0, measure_top_k),
-                                    .cancel = {}});
-  return pipeline.EvaluatePlacement(matrix, reduction_axes);
+  return EvaluateOnePlacement(*this, matrix, reduction_axes,
+                              std::max(0, measure_top_k));
 }
 
 ExperimentResult Engine::RunExperiment(
@@ -127,14 +136,8 @@ ExperimentResult Engine::RunExperiment(
     std::span<const int> reduction_axes) const {
   // A transient service per call: callers that want cross-query sharing
   // (one cache, one pool) hold a PlannerService themselves and Submit.
-  PlannerServiceOptions service_options;
-  service_options.threads = options_.threads;
-  PlannerService service(*this, service_options);
-  PlanRequest request;
-  request.axes.assign(axes.begin(), axes.end());
-  request.reduction_axes.assign(reduction_axes.begin(), reduction_axes.end());
-  request.cache_synthesis = options_.cache_synthesis;
-  return service.Plan(std::move(request));
+  PlannerService service(*this);
+  return service.Plan(axes, reduction_axes);
 }
 
 }  // namespace p2::engine

@@ -32,13 +32,6 @@ struct EngineOptions {
       core::SynthesisHierarchyKind::kReductionAxes;
   /// Skip the runtime-substrate measurement (prediction only).
   bool measure = true;
-  /// Worker threads for the per-placement evaluation stage of RunExperiment
-  /// (engine/pipeline.h); <= 1 evaluates serially. Results are merged in
-  /// placement order, so the output is identical at any thread count.
-  int threads = 1;
-  /// Memoize synthesis by hierarchy signature across the placements of an
-  /// experiment (engine/synthesis_cache.h).
-  bool cache_synthesis = true;
 };
 
 /// Stage and cache statistics of the evaluation pipeline run that produced
@@ -59,14 +52,14 @@ struct PipelineStats {
   /// Lookups that blocked on another request's in-flight synthesis of the
   /// same signature instead of re-synthesizing (each still counts as a hit
   /// or, if the finished entry could not serve this cap, a miss). Zero
-  /// under the deferral-aware scheduler, which never blocks — see
+  /// whenever the pipeline defers, which never blocks — see
   /// cache_deferred_lookups.
   std::int64_t cache_dedup_waits = 0;
   /// Lookups that found another request's in-flight synthesis and deferred
   /// (re-enqueued through a completion continuation while the worker ran
   /// other tasks) instead of parking — the non-blocking counterpart of
-  /// cache_dedup_waits, taken by the deferral-aware scheduler
-  /// (PipelineOptions::defer_inflight). Like cache_dedup_waits this count
+  /// cache_dedup_waits, taken on a threaded pool under
+  /// PipelineOptions::defer_inflight. Like cache_dedup_waits this count
   /// depends on cross-request arrival order; only the sum of hits+misses
   /// is per-request deterministic.
   std::int64_t cache_deferred_lookups = 0;
@@ -96,13 +89,13 @@ struct PipelineStats {
   std::int64_t guided_skipped = 0;
   double synthesis_seconds_saved = 0.0;  ///< re-synthesis avoided by the cache
   double disk_seconds_saved = 0.0;       ///< portion saved across runs (disk)
-  /// Time actually spent synthesizing. Under the staged scheduler this is
-  /// the synthesize stage's wall-clock; under the deferral-aware scheduler
-  /// (where synthesis and evaluation tasks interleave) it is the summed
-  /// per-task synthesis time instead.
+  /// Time actually spent synthesizing: the summed wall-clock of the
+  /// synthesis runs this request performed itself (its cache misses, or
+  /// every placement when cacheless). Synthesis and evaluation tasks
+  /// interleave on the pool, so this is task time, not a stage's span.
   double synthesis_seconds = 0.0;
-  /// Lower/predict/measure time, with the same staged-wall-clock vs
-  /// summed-task-time split as synthesis_seconds.
+  /// Lower/predict/measure time: the summed wall-clock of the per-placement
+  /// evaluation tasks.
   double evaluation_seconds = 0.0;
   double total_seconds = 0.0;
   int threads = 1;
@@ -201,10 +194,11 @@ class Engine {
       const core::ParallelismMatrix& matrix,
       std::span<const int> reduction_axes, int measure_top_k) const;
 
-  /// Full experiment over every placement of `axes`, through the staged
-  /// pipeline (engine/pipeline.h): placements inducing isomorphic synthesis
-  /// hierarchies share one synthesis run, and evaluation uses
-  /// `options().threads` workers. Output is identical at any thread count.
+  /// Full experiment over every placement of `axes`, through the pipeline
+  /// (engine/pipeline.h) on a one-shot single-threaded service: placements
+  /// inducing isomorphic synthesis hierarchies share one synthesis run.
+  /// Callers that want threads or cross-query sharing hold a
+  /// PlannerService themselves.
   ExperimentResult RunExperiment(std::span<const std::int64_t> axes,
                                  std::span<const int> reduction_axes) const;
 

@@ -163,46 +163,33 @@ PlacementEvaluation Pipeline::Evaluate(
   return eval;
 }
 
-PlacementEvaluation Pipeline::EvaluatePlacement(
-    const core::ParallelismMatrix& matrix,
-    std::span<const int> reduction_axes) {
-  const auto sh = core::SynthesisHierarchy::Build(
-      matrix, reduction_axes, engine_.options().hierarchy_kind,
-      engine_.options().collapse_hierarchy);
-  // The engine's synthesis knobs plus this request's token. The token is
-  // execution-only (SynthesisCache::BaseKey excludes it), so entries are
-  // shared with tokenless requests.
-  core::SynthesisOptions synth_options = engine_.options().synthesis;
-  synth_options.cancel = options_.cancel;
-  if (options_.cache_synthesis) {
-    const auto synthesis = service_.cache().GetOrSynthesize(
-        sh, synth_options, nullptr, options_.tenant);
-    return Evaluate(matrix, sh, *synthesis);
-  }
-  const auto synthesis = core::SynthesizePrograms(sh, synth_options);
-  return Evaluate(matrix, sh, synthesis);
-}
-
 ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
                                std::span<const int> reduction_axes) {
   const auto start = std::chrono::steady_clock::now();
   // A request aborted while queued (deadline already past, Cancel() before
   // the pool got to it) unwinds before doing any work.
   options_.cancel.ThrowIfCancelled();
-
-  ExperimentResult result;
+  // Placements come in deterministic lexicographic order.
+  ExperimentResult result = Run(
+      core::EnumeratePlacements(engine_.cluster().hierarchy(), axes),
+      reduction_axes);
   result.axes.assign(axes.begin(), axes.end());
+  result.pipeline.total_seconds = SecondsSince(start);
+  return result;
+}
+
+ExperimentResult Pipeline::Run(
+    std::span<const core::ParallelismMatrix> placements,
+    std::span<const int> reduction_axes) {
+  const auto start = std::chrono::steady_clock::now();
+  ExperimentResult result;
   result.reduction_axes.assign(reduction_axes.begin(), reduction_axes.end());
   result.algo = engine_.options().algo;
   result.payload_bytes = engine_.payload_bytes();
-
-  // Stage 1: enumerate placements (deterministic lexicographic order).
-  const auto placements =
-      core::EnumeratePlacements(engine_.cluster().hierarchy(), axes);
   const std::size_t n = placements.size();
 
-  // Stage 2: build each placement's synthesis hierarchy and group placements
-  // by signature. `members_of[u]` lists the placements sharing unique
+  // Build each placement's synthesis hierarchy and group placements by
+  // signature. `members_of[u]` lists the placements sharing unique
   // signature u, in placement order.
   std::vector<core::SynthesisHierarchy> hierarchies;
   hierarchies.reserve(n);
@@ -227,247 +214,178 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
     for (std::size_t i = 0; i < n; ++i) members_of[i].push_back(i);
   }
 
-  // This request's work items. Other in-flight requests have their own
-  // groups on the same pool; the scheduler interleaves them round-robin and
-  // Wait (inside ParallelFor) helps execute instead of idling a worker, so
-  // requests running *as* pool tasks make progress too.
-  ThreadPool::TaskGroup group(service_.pool());
-
-  // Stages 3+4: synthesize once per unique signature, then
-  // lower/predict/measure every placement — either as two staged barriers
-  // (whose in-flight lookups park) or as one deferral-aware work loop. Each
-  // placement's lookup outcome lands in its own slot, so this request's
-  // cache accounting below is deterministic in placement order and never
-  // includes other requests' activity; either way the results land in
-  // preallocated slots whose order equals placement order, which *is* the
-  // deterministic merge — the output matches the serial path byte for byte.
-  //
-  // The engine's synthesis knobs plus this request's token, threaded into
-  // every dispatch below. Execution-only (SynthesisCache::BaseKey excludes
-  // the token — stage 2 keyed with the engine's plain options and gets the
-  // same groups), so cache entries stay shared across requests regardless
-  // of who carries a token.
+  // The engine's synthesis knobs plus this request's token. The token is
+  // execution-only (SynthesisCache::BaseKey excludes it, so the grouping
+  // above keyed with the plain options gets the same groups): cache entries
+  // stay shared across requests regardless of who carries a token.
   core::SynthesisOptions synth_options = engine_.options().synthesis;
   synth_options.cancel = options_.cancel;
+  SynthesisCache& cache = service_.cache();
+  // Each placement's synthesis, lookup outcome and evaluation land in their
+  // own slots: this request's cache accounting below is deterministic in
+  // placement order and never includes other requests' activity, and the
+  // placement-ordered slots *are* the deterministic merge — the output
+  // matches the serial path byte for byte.
   std::vector<std::shared_ptr<const core::SynthesisResult>> synthesis(n);
   std::vector<CacheLookupOutcome> outcomes(n);
+  std::vector<double> eval_seconds(n, 0.0);
   result.placements.resize(n);
 
-  // Deferral needs a concurrent peer to fire continuations and other queued
-  // work to run meanwhile: on an inline pool (or cacheless, or opted out)
-  // the staged path is already optimal — and doubles as the parked-waiter
-  // baseline bench_pipeline's contended variant measures against.
-  const bool defer = options_.defer_inflight && options_.cache_synthesis &&
-                     service_.pool().num_threads() > 0;
+  // This request's work items. Other in-flight requests have their own
+  // groups on the same pool; the scheduler interleaves them round-robin and
+  // Wait helps execute instead of idling a worker, so requests running *as*
+  // pool tasks make progress too.
+  ThreadPool::TaskGroup group(service_.pool());
+  // The one in-flight decision. Deferring needs a concurrent peer to commit
+  // the deferred task: on an inline pool nothing else runs, so a lookup
+  // that finds a foreign synthesis in flight blocks instead — as it does
+  // when defer_inflight is off (the parked baseline bench_pipeline's
+  // contended variant measures against).
+  const bool defer =
+      options_.defer_inflight && service_.pool().num_threads() > 0;
 
-  double synthesis_seconds = 0.0;
-  double evaluation_seconds = 0.0;
-  std::int64_t deferred_total = 0;
-  if (!defer) {
-    // Staged scheduler. Signatures another request is synthesizing right
-    // now are waited on (GetOrSynthesize parks on the owner's cv), not
-    // re-synthesized; duplicate members resolve through the shared cache.
-    const auto synth_start = std::chrono::steady_clock::now();
-    group.ParallelFor(
-        static_cast<std::int64_t>(members_of.size()), [&](std::int64_t g) {
-          MaybeInjectFault("pipeline.synthesize");
-          options_.cancel.ThrowIfCancelled();
-          const auto& members = members_of[static_cast<std::size_t>(g)];
-          for (std::size_t i : members) {
-            if (options_.cache_synthesis) {
-              synthesis[i] = service_.cache().GetOrSynthesize(
-                  hierarchies[i], synth_options, &outcomes[i], options_.tenant);
-            } else {
-              synthesis[i] = std::make_shared<const core::SynthesisResult>(
-                  SynthesizePrograms(hierarchies[i], synth_options));
-            }
-          }
-        });
-    synthesis_seconds = SecondsSince(synth_start);
+  struct GroupState {
+    std::size_t next_member = 0;  ///< members resolved so far
+    SynthesisCache::DeferredLookup deferred;
+  };
+  std::vector<GroupState> group_states(members_of.size());
+  std::atomic<std::int64_t> deferred_events{0};
 
-    const auto eval_start = std::chrono::steady_clock::now();
-    group.ParallelFor(static_cast<std::int64_t>(n), [&](std::int64_t i) {
-      MaybeInjectFault("pipeline.evaluate");
-      options_.cancel.ThrowIfCancelled();
-      const auto idx = static_cast<std::size_t>(i);
-      result.placements[idx] =
-          Evaluate(placements[idx], hierarchies[idx], *synthesis[idx]);
-    });
-    evaluation_seconds = SecondsSince(eval_start);
-  } else {
-    // Deferral-aware scheduler: one self-re-enqueueing resolve task per
-    // signature group. Members resolve through non-blocking TryLookup; a
-    // group whose signature is being synthesized by another request
-    // reserves its pool slot, registers a completion continuation, and
-    // returns — the worker moves on to other pending tasks (this request's
-    // or anyone else's) instead of parking — and the continuation (owner
-    // publish or owner death) commits the task back into the group. Once
-    // every member holds its synthesis the group fans its evaluations into
-    // the same TaskGroup, so downstream lower/predict work interleaves
-    // with other groups' synthesis instead of waiting behind a barrier.
-    struct GroupState {
-      std::size_t next_member = 0;  ///< members resolved so far
-      SynthesisCache::DeferredLookup deferred;
-      double synth_seconds = 0.0;
-    };
-    std::vector<GroupState> group_states(members_of.size());
-    std::vector<double> eval_seconds(n, 0.0);
-    std::atomic<std::int64_t> deferred_events{0};
+  // One FireState per deferral: whoever wins the fire-once CAS commits the
+  // re-enqueued resolve task — the cache continuation, or the cancel kick
+  // below. The shared_ptr keeps a late losing fire (a continuation an owner
+  // extracted before CancelDeferred could withdraw it) safe even after this
+  // frame unwound: it CAS-fails and touches nothing.
+  struct FireState {
+    std::atomic<bool> fired{false};
+    ThreadPool::TaskGroup* group = nullptr;
+    std::function<void()> task;
+  };
+  const auto try_fire = [](const std::shared_ptr<FireState>& state) {
+    bool expected = false;
+    if (state->fired.compare_exchange_strong(expected, true)) {
+      state->group->CommitDeferred(std::move(state->task));
+    }
+  };
+  std::mutex fire_mu;
+  bool kicked = false;  // guarded by fire_mu
+  std::vector<std::shared_ptr<FireState>> pending_fires;  // ditto
 
-    // One FireState per deferral: whoever wins the fire-once CAS commits
-    // the re-enqueued resolve task — the cache continuation, or the cancel
-    // kick below. The shared_ptr keeps a late losing fire (a continuation
-    // an owner extracted before CancelDeferred could withdraw it) safe
-    // even after this frame unwound: it CAS-fails and touches nothing.
-    struct FireState {
-      std::atomic<bool> fired{false};
-      ThreadPool::TaskGroup* group = nullptr;
-      std::function<void()> task;
-    };
-    const auto try_fire = [](const std::shared_ptr<FireState>& state) {
-      bool expected = false;
-      if (state->fired.compare_exchange_strong(expected, true)) {
-        state->group->CommitDeferred(std::move(state->task));
+  // One self-re-enqueueing resolve task per signature group. A group whose
+  // signature another request is synthesizing either defers — reserves its
+  // pool slot, registers a completion continuation and returns, so the
+  // worker runs other pending tasks (this request's or anyone else's)
+  // instead of parking, and the continuation (owner publish or owner death)
+  // commits the task back into the group — or blocks in GetOrSynthesize.
+  // Once every member holds its synthesis the group fans its evaluations
+  // into the same TaskGroup, where they interleave with other groups'
+  // synthesis instead of waiting behind a barrier.
+  std::function<void(std::size_t)> resolve = [&](std::size_t g) {
+    MaybeInjectFault("pipeline.synthesize");
+    options_.cancel.ThrowIfCancelled();
+    GroupState& state = group_states[g];
+    const auto& members = members_of[g];
+    for (; state.next_member < members.size(); ++state.next_member) {
+      const std::size_t i = members[state.next_member];
+      if (!options_.cache_synthesis) {
+        synthesis[i] = std::make_shared<const core::SynthesisResult>(
+            SynthesizePrograms(hierarchies[i], synth_options));
+        continue;
       }
-    };
-    std::mutex fire_mu;
-    bool kicked = false;  // guarded by fire_mu
-    std::vector<std::shared_ptr<FireState>> pending_fires;  // ditto
-
-    std::function<void(std::size_t)> resolve = [&](std::size_t g) {
-      MaybeInjectFault("pipeline.synthesize");
-      options_.cancel.ThrowIfCancelled();
-      GroupState& state = group_states[g];
-      const auto& members = members_of[g];
-      while (state.next_member < members.size()) {
-        const std::size_t i = members[state.next_member];
-        // Reserve the pool slot BEFORE the lookup can register the
-        // continuation: a continuation firing instantly must find the
-        // reservation its CommitDeferred settles.
-        group.ReserveDeferred();
-        auto fire = std::make_shared<FireState>();
-        fire->group = &group;
-        fire->task = [&resolve, g] { resolve(g); };
-        SynthesisCache::TryLookupResult looked = service_.cache().TryLookup(
-            hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
-            &state.deferred, &outcomes[i], options_.tenant);
-        if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
-          deferred_events.fetch_add(1, std::memory_order_relaxed);
-          // Publish the pending fire for the cancel kick. If the kick
-          // already ran, nobody walks the registry again — self-fire, and
-          // the committed re-run observes the cancellation and unwinds.
-          bool kick_now = false;
-          {
-            std::lock_guard<std::mutex> fire_lock(fire_mu);
-            pending_fires.push_back(fire);
-            kick_now = kicked;
-          }
-          if (kick_now) try_fire(fire);
-          // The reservation keeps group.Wait blocked (and helping) until
-          // exactly one CommitDeferred re-runs this task.
-          return;
+      if (!defer) {
+        synthesis[i] = cache.GetOrSynthesize(hierarchies[i], synth_options,
+                                             &outcomes[i], options_.tenant);
+        continue;
+      }
+      // Reserve the pool slot BEFORE the lookup can register the
+      // continuation: a continuation firing instantly must find the
+      // reservation its CommitDeferred settles.
+      group.ReserveDeferred();
+      auto fire = std::make_shared<FireState>();
+      fire->group = &group;
+      fire->task = [&resolve, g] { resolve(g); };
+      SynthesisCache::TryLookupResult looked = cache.TryLookup(
+          hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
+          &state.deferred, &outcomes[i], options_.tenant);
+      if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
+        deferred_events.fetch_add(1, std::memory_order_relaxed);
+        // Publish the pending fire for the cancel kick. If the kick already
+        // ran, nobody walks the registry again — self-fire, and the
+        // committed re-run observes the cancellation and unwinds.
+        bool kick_now = false;
+        {
+          std::lock_guard<std::mutex> fire_lock(fire_mu);
+          pending_fires.push_back(fire);
+          kick_now = kicked;
         }
-        // Not deferred: no continuation was registered, so the FireState is
-        // ours alone — neutralize it and release the unused reservation.
-        fire->fired.store(true, std::memory_order_relaxed);
-        group.AbandonDeferred();
-        if (looked.state == SynthesisCache::TryLookupState::kOwned) {
-          // This call owns the signature. Before synthesizing, try the
-          // remote cache plane: another worker process may already hold (or
-          // be granted) this signature, and a fetched hit settles the
-          // flight in place of CompleteOwned. A failed fetch (no backend,
-          // plane miss with local grant, plane unreachable) falls through
-          // to local synthesis: publish, wake/fire the others. A failed
-          // synthesis (cancellation included) withdraws the claim first —
-          // the dead-owner contract. The owner never defers on its own
-          // claim, so every in-flight signature always has a running owner:
-          // owner chains cannot cycle.
-          if (auto fetched = service_.cache().FetchRemoteOwned(
-                  hierarchies[i], synth_options, &outcomes[i])) {
-            synthesis[i] = std::move(fetched);
-            ++state.next_member;
-            continue;
-          }
-          std::shared_ptr<const core::SynthesisResult> owned;
-          const auto owned_start = std::chrono::steady_clock::now();
-          try {
-            owned = std::make_shared<const core::SynthesisResult>(
-                SynthesizePrograms(hierarchies[i], synth_options));
-          } catch (...) {
-            service_.cache().AbandonOwned(hierarchies[i], synth_options);
-            throw;
-          }
-          state.synth_seconds += SecondsSince(owned_start);
-          service_.cache().CompleteOwned(hierarchies[i], synth_options, owned,
-                                        options_.tenant);
-          synthesis[i] = std::move(owned);
-          // outcomes[i] stays the zeroed miss TryLookup reset it to.
-        } else {
-          synthesis[i] = std::move(looked.result);  // kReady: outcome filled
-        }
-        ++state.next_member;
+        if (kick_now) try_fire(fire);
+        // The reservation keeps group.Wait blocked (and helping) until
+        // exactly one CommitDeferred re-runs this task.
+        return;
       }
-      // All members resolved: fan this group's evaluations into the same
-      // TaskGroup (submitting without waiting from inside a task is
-      // supported), where they interleave with other groups' work.
-      for (const std::size_t i : members) {
-        group.Submit([&, i] {
-          MaybeInjectFault("pipeline.evaluate");
-          options_.cancel.ThrowIfCancelled();
-          const auto eval_start = std::chrono::steady_clock::now();
-          result.placements[i] =
-              Evaluate(placements[i], hierarchies[i], *synthesis[i]);
-          eval_seconds[i] = SecondsSince(eval_start);
-        });
-      }
-    };
+      // Not deferred: no continuation was registered, so the FireState is
+      // ours alone — neutralize it and release the unused reservation.
+      fire->fired.store(true, std::memory_order_relaxed);
+      group.AbandonDeferred();
+      // The owner never defers on its own claim, so every in-flight
+      // signature always has a running owner: owner chains cannot cycle.
+      synthesis[i] = looked.state == SynthesisCache::TryLookupState::kOwned
+                         ? cache.ResolveOwned(hierarchies[i], synth_options,
+                                              &outcomes[i], options_.tenant)
+                         : std::move(looked.result);
+    }
+    // All members resolved: fan this group's evaluations into the same
+    // TaskGroup (submitting without waiting from inside a task is
+    // supported).
+    for (const std::size_t i : members) {
+      group.Submit([&, i] {
+        MaybeInjectFault("pipeline.evaluate");
+        options_.cancel.ThrowIfCancelled();
+        const auto eval_start = std::chrono::steady_clock::now();
+        result.placements[i] =
+            Evaluate(placements[i], hierarchies[i], *synthesis[i]);
+        eval_seconds[i] = SecondsSince(eval_start);
+      });
+    }
+  };
 
-    for (std::size_t g = 0; g < members_of.size(); ++g) {
-      group.Submit([&resolve, g] { resolve(g); });
-    }
-    // The cancel kick flushes every pending deferral back into the queue.
-    // It COMMITS (never abandons), so each pool reservation is settled by
-    // exactly one commit; the re-run tasks observe the cancellation at
-    // their checkpoint and unwind into the group's first error, which Wait
-    // rethrows with the usual abort taxonomy. Setting `kicked` under
-    // fire_mu closes the race with deferrals registering concurrently —
-    // they self-fire above.
-    const auto kick = [&] {
-      std::vector<std::shared_ptr<FireState>> snapshot;
-      {
-        std::lock_guard<std::mutex> fire_lock(fire_mu);
-        kicked = true;
-        snapshot.swap(pending_fires);
-      }
-      for (const auto& fire : snapshot) try_fire(fire);
-    };
-    std::exception_ptr error;
-    try {
-      group.Wait(options_.cancel, kick);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Wait returned: every pool reservation is settled and no resolve task
-    // is running or pending — but a group whose committed task was
-    // fail-fast-skipped (or threw at its re-entry checkpoint) still holds
-    // its cache-side reservation and continuation registration. Settle
-    // them exactly like the parked path's cancelled waiter does.
-    for (GroupState& state : group_states) {
-      service_.cache().CancelDeferred(&state.deferred);
-    }
-    if (error != nullptr) std::rethrow_exception(error);
-
-    for (const GroupState& state : group_states) {
-      synthesis_seconds += state.synth_seconds;
-    }
-    for (const double s : eval_seconds) evaluation_seconds += s;
-    deferred_total = deferred_events.load(std::memory_order_relaxed);
+  for (std::size_t g = 0; g < members_of.size(); ++g) {
+    group.Submit([&resolve, g] { resolve(g); });
   }
+  // The cancel kick flushes every pending deferral back into the queue. It
+  // COMMITS (never abandons), so each pool reservation is settled by
+  // exactly one commit; the re-run tasks observe the cancellation at their
+  // checkpoint and unwind into the group's first error, which Wait rethrows
+  // with the usual abort taxonomy. Setting `kicked` under fire_mu closes
+  // the race with deferrals registering concurrently — they self-fire
+  // above.
+  const auto kick = [&] {
+    std::vector<std::shared_ptr<FireState>> snapshot;
+    {
+      std::lock_guard<std::mutex> fire_lock(fire_mu);
+      kicked = true;
+      snapshot.swap(pending_fires);
+    }
+    for (const auto& fire : snapshot) try_fire(fire);
+  };
+  std::exception_ptr error;
+  try {
+    group.Wait(options_.cancel, kick);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Wait returned: every pool reservation is settled and no resolve task is
+  // running or pending — but a group whose committed task was
+  // fail-fast-skipped (or threw at its re-entry checkpoint) still holds its
+  // cache-side reservation and continuation registration. Settle them.
+  for (GroupState& state : group_states) cache.CancelDeferred(&state.deferred);
+  if (error != nullptr) std::rethrow_exception(error);
 
   result.pipeline.num_placements = static_cast<std::int64_t>(n);
   result.pipeline.unique_hierarchies =
       static_cast<std::int64_t>(members_of.size());
-  for (const auto& placement : result.placements) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const PlacementEvaluation& placement = result.placements[i];
     result.pipeline.synth_states_visited +=
         placement.synthesis_stats.states_visited;
     result.pipeline.synth_states_deduped +=
@@ -475,6 +393,12 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
     result.pipeline.synth_branches_pruned +=
         placement.synthesis_stats.branches_pruned;
     result.pipeline.guided_skipped += placement.guided_skipped;
+    // The synthesis runs this request performed itself: its misses (every
+    // placement, when cacheless).
+    if (!outcomes[i].hit) {
+      result.pipeline.synthesis_seconds += synthesis[i]->stats.seconds;
+    }
+    result.pipeline.evaluation_seconds += eval_seconds[i];
   }
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache
@@ -497,9 +421,8 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
       if (o.waited) ++result.pipeline.cache_dedup_waits;
     }
   }
-  result.pipeline.cache_deferred_lookups = deferred_total;
-  result.pipeline.synthesis_seconds = synthesis_seconds;
-  result.pipeline.evaluation_seconds = evaluation_seconds;
+  result.pipeline.cache_deferred_lookups =
+      deferred_events.load(std::memory_order_relaxed);
   result.pipeline.total_seconds = SecondsSince(start);
   result.pipeline.threads = std::max(1, service_.options().threads);
   return result;

@@ -1,5 +1,5 @@
-// The staged per-query executor behind the planning service
-// (engine/service.h) and Engine::RunExperiment:
+// The per-query executor behind the planning service (engine/service.h)
+// and Engine::RunExperiment / EvaluatePlacement:
 //
 //   enumerate placements -> dedup by synthesis-hierarchy signature
 //     -> synthesize once per signature (memoized in the service's shared
@@ -10,12 +10,13 @@
 // A Pipeline is stateless: it borrows the process-wide cache and worker
 // pool from its PlannerService and holds only per-query options, so any
 // number of pipelines (one per in-flight request) share synthesis results
-// and threads. Placements are independent once their synthesis hierarchies
-// are shared, so stages 3-4 run as work items on a ThreadPool::TaskGroup of
-// the shared pool — concurrent requests' items interleave fairly — and
-// results are written into preallocated slots and merged in enumeration
-// order, which makes the parallel output byte-identical to the serial path
-// (modulo wall-clock timing fields).
+// and threads. One work loop runs every query: a resolve task per
+// signature group on a ThreadPool::TaskGroup of the shared pool, which
+// fans out one evaluation task per placement once its group's synthesis
+// is in hand — concurrent requests' tasks interleave fairly. Results are
+// written into preallocated slots and merged in enumeration order, which
+// makes the parallel output byte-identical to the serial path (modulo
+// wall-clock timing fields).
 #ifndef P2_ENGINE_PIPELINE_H_
 #define P2_ENGINE_PIPELINE_H_
 
@@ -33,9 +34,9 @@ class PlannerService;
 /// Per-query knobs. Process-wide concerns — thread count, cache
 /// persistence — live in PlannerServiceOptions.
 struct PipelineOptions {
-  /// Memoize synthesis by hierarchy signature in the service's shared cache
-  /// (stage 2/3). Off re-synthesizes per placement like the original
-  /// monolith (the bench's baseline).
+  /// Memoize synthesis by hierarchy signature in the service's shared cache.
+  /// Off re-synthesizes per placement like the original monolith (the
+  /// serial reference of bench_pipeline and the tests).
   bool cache_synthesis = true;
   /// < 0: measure every program iff the engine's options say so (the classic
   /// full-evaluation path). >= 0: simulator-guided evaluation — predict
@@ -61,11 +62,11 @@ struct PipelineOptions {
   /// pending tasks — other placements, evaluations, even whole queued
   /// requests — so no pool thread ever blocks on a foreign synthesis
   /// (stats: cache_deferred_lookups up, cache_dedup_waits and the
-  /// service-wide waiter_parks pinned to 0). Off falls back to the staged
-  /// scheduler whose in-flight lookups park on the owner's condition
-  /// variable (the tail-latency baseline bench_pipeline's contended
-  /// variant measures against). Effective only with cache_synthesis on a
-  /// threaded pool; outputs are byte-identical either way.
+  /// service-wide waiter_parks pinned to 0). Off — and always on an inline
+  /// pool, where nothing could commit a deferred task — the group blocks in
+  /// SynthesisCache::GetOrSynthesize instead (the tail-latency baseline
+  /// bench_pipeline's contended variant measures against). Outputs are
+  /// byte-identical either way.
   bool defer_inflight = true;
 };
 
@@ -86,10 +87,10 @@ class Pipeline {
   ExperimentResult Run(std::span<const std::int64_t> axes,
                        std::span<const int> reduction_axes);
 
-  /// Single-placement entry point (stages 3-4 only, inline on the calling
-  /// thread); shares the service's cache like any other query.
-  PlacementEvaluation EvaluatePlacement(const core::ParallelismMatrix& matrix,
-                                        std::span<const int> reduction_axes);
+  /// The same run over a caller-supplied placement list (result.axes stays
+  /// empty); Engine::EvaluatePlacement passes a list of one.
+  ExperimentResult Run(std::span<const core::ParallelismMatrix> placements,
+                       std::span<const int> reduction_axes);
 
  private:
   PlacementEvaluation Evaluate(const core::ParallelismMatrix& matrix,

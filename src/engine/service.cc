@@ -17,8 +17,7 @@ namespace {
 /// Digest of every EngineOptions field that can change a plan. Appended to
 /// the cluster fingerprint in the tenant key so one machine under two
 /// evaluation configurations gets two engines instead of silently sharing
-/// one. `threads` and `cache_synthesis` are excluded: they are
-/// execution-strategy knobs with byte-identical output at any setting.
+/// one.
 std::string EngineOptionsDigest(const EngineOptions& options) {
   char payload[40];
   std::snprintf(payload, sizeof(payload), "%.17g", options.payload_bytes);

@@ -162,9 +162,9 @@ struct PlannerServiceOptions {
   /// worker re-enqueues that work through a cache continuation and runs
   /// other pending tasks meanwhile, keeping every pool thread productive —
   /// the tail-latency lever for contended traffic (stats().cache
-  /// waiter_parks stays 0; deferred_lookups counts the deferrals). Off
-  /// restores the parked-waiter scheduler. Results are byte-identical
-  /// either way.
+  /// waiter_parks stays 0; deferred_lookups counts the deferrals). Off, or
+  /// with threads <= 1, such lookups park their thread instead. Results
+  /// are byte-identical either way.
   bool defer_inflight = true;
 };
 

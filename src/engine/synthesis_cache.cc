@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -35,43 +37,65 @@ bool ParseCapFromKey(const std::string& key, std::string* base,
   return true;
 }
 
-}  // namespace
-
-void SynthesisCache::InFlight::MarkDone() {
-  {
-    std::lock_guard<std::mutex> lock(m);
-    done = true;
-  }
-  cv.notify_all();
+/// The first `cap` programs of `result`, with its stats: exactly what a
+/// fresh synthesis under `cap` returns, because programs are kept
+/// smallest-first.
+std::shared_ptr<const core::SynthesisResult> Prefix(
+    const core::SynthesisResult& result, std::int64_t cap) {
+  auto prefix = std::make_shared<core::SynthesisResult>();
+  prefix->stats = result.stats;
+  prefix->programs.assign(
+      result.programs.begin(),
+      result.programs.begin() + static_cast<std::ptrdiff_t>(cap));
+  return prefix;
 }
 
-bool SynthesisCache::InFlight::Wait(const CancelToken& cancel) {
-  if (!cancel.CanBeCancelled()) {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [this] { return done; });
-    return true;
+/// The per-call latch a blocking GetOrSynthesize parks on. Its own
+/// continuation opens it; Wait consumes the opening, so one latch serves
+/// every retry of the call.
+struct Latch {
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      open = true;
+    }
+    cv.notify_all();
   }
-  // Register the cv with the token before the first predicate check and
-  // while `m` is not held (the AddCancelWaiter contract): a Cancel() landing
-  // any time after this line either notifies the cv or is already visible
-  // to cancel_requested() below. Destruction order matters too — `lock`
-  // below releases `m` before `waiter` unregisters.
-  CancelWaiter waiter(cancel, &m, &cv);
-  std::unique_lock<std::mutex> lock(m);
-  for (;;) {
-    if (done) return true;
-    if (cancel.cancel_requested()) return false;
-    // Deadline expiry never notifies (see cancel.h), so bound the block by
-    // the currently-armed deadline — re-read each round, it can be
-    // re-armed — and let the post-wake cancel_requested() latch the expiry.
-    const auto deadline = cancel.deadline();
-    if (deadline.has_value()) {
-      cv.wait_until(lock, *deadline);
-    } else {
-      cv.wait(lock);
+
+  /// Blocks until Open(); true then. False when `cancel` aborted first —
+  /// including deadline expiry, which never notifies a cv, so the block is
+  /// bounded by the token's armed deadline.
+  bool Wait(const CancelToken& cancel) {
+    // Register the cv with the token before the first predicate check and
+    // while `m` is not held (the AddCancelWaiter contract): a Cancel()
+    // landing any time after this line either notifies the cv or is
+    // already visible to cancel_requested() below. Destruction order
+    // matters too — `lock` releases `m` before `waiter` unregisters.
+    CancelWaiter waiter(cancel, &m, &cv);
+    std::unique_lock<std::mutex> lock(m);
+    for (;;) {
+      if (open) {
+        open = false;
+        return true;
+      }
+      if (cancel.cancel_requested()) return false;
+      // Re-read the deadline each round (it can be re-armed) and let the
+      // post-wake cancel_requested() latch its expiry.
+      const auto deadline = cancel.deadline();
+      if (deadline.has_value()) {
+        cv.wait_until(lock, *deadline);
+      } else {
+        cv.wait(lock);
+      }
     }
   }
-}
+
+  std::mutex m;
+  std::condition_variable cv;
+  bool open = false;
+};
+
+}  // namespace
 
 std::string SynthesisCache::BaseKey(const core::SynthesisHierarchy& sh,
                                     const core::SynthesisOptions& options) {
@@ -155,121 +179,33 @@ void SynthesisCache::EvictLocked() {
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     CacheLookupOutcome* outcome, std::int64_t tenant) {
-  if (outcome != nullptr) *outcome = CacheLookupOutcome{};
-  const std::string base = BaseKey(sh, options);
-  // Clamp like the synthesizer does: a non-positive cap means "no programs"
-  // (core::SynthesizePrograms returns an empty list for it), so it is
-  // served from any entry as an empty prefix — never as a negative
-  // iterator offset.
-  const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
+  CacheLookupOutcome local;
+  if (outcome == nullptr) outcome = &local;
+  // Shared with the continuation: one an owner extracted before
+  // CancelDeferred could withdraw it still fires, late, into the latch.
+  const auto latch = std::make_shared<Latch>();
+  DeferredLookup deferred;
   bool waited = false;
-
-  std::unique_lock<std::mutex> lock(mu_);
-  bool holds_reservation = false;
-  // Releases the reservation taken before the most recent wait. Runs at the
-  // top of every post-wake iteration — under the same lock acquisition as
-  // the lookup that follows, so eviction (which also needs the lock) cannot
-  // squeeze between the release and the read.
-  const auto release_reservation = [&] {
-    if (!holds_reservation) return;
-    holds_reservation = false;
-    const auto rit = reserved_.find(base);
-    if (--rit->second == 0) reserved_.erase(rit);
-  };
   for (;;) {
-    release_reservation();
-    const auto it = entries_.find(base);
-    if (it != entries_.end() && it->second.CanServe(cap)) {
-      return ServeHitLocked(lock, it->second, cap, tenant, waited, outcome);
+    TryLookupResult looked =
+        Lookup(sh, options, [latch] { latch->Open(); }, &deferred, outcome,
+               tenant, /*park=*/true);
+    if (looked.state == TryLookupState::kReady) return std::move(looked.result);
+    if (looked.state == TryLookupState::kOwned) {
+      // A wait that ends here — the owner died, or its entry could not
+      // serve this cap — runs its own synthesis after all, so it is
+      // recorded in the outcome but not as a dedup_wait.
+      outcome->waited = waited;
+      return ResolveOwned(sh, options, outcome, tenant);
     }
-    // Not servable from the table. If someone is synthesizing this
-    // signature right now, wait for them and re-check: their result usually
-    // serves us (same cap), though a truncated smaller-cap result sends us
-    // around the loop into our own synthesis. The reservation taken here —
-    // released at the top of the next iteration — keeps the LRU from
-    // evicting the published entry between publication and our wake-up.
-    const auto fit = inflight_.find(base);
-    if (fit == inflight_.end()) break;
-    const auto flight = fit->second;
-    ++reserved_[base];
-    holds_reservation = true;
     waited = true;
-    ++stats_.waiter_parks;
-    lock.unlock();
-    if (!flight->Wait(options.cancel)) {
+    if (!latch->Wait(options.cancel)) {
       // Our *own* request aborted while parked behind a foreign owner that
-      // may never cancel: release the reservation (nobody will do the
-      // post-wake lookup it protected) and unwind.
-      lock.lock();
-      release_reservation();
-      lock.unlock();
+      // may never finish: settle the registration nobody will retry.
+      CancelDeferred(&deferred);
       options.cancel.ThrowIfCancelled();
     }
-    lock.lock();
   }
-
-  // Miss: announce the in-flight synthesis, run it outside the lock, then
-  // publish. Concurrent queries on other signatures proceed in parallel;
-  // concurrent queries on this one block above.
-  auto flight = std::make_shared<InFlight>();
-  inflight_.emplace(base, flight);
-  const std::shared_ptr<RemoteCacheBackend> remote = remote_;
-  lock.unlock();
-
-  // Consult the remote cache plane before paying for a synthesis (no-op
-  // without a backend). Announcing the flight *first* means local
-  // concurrent lookups park/defer behind the remote round trip too, so the
-  // process makes one plane query per signature, not one per thread.
-  if (remote != nullptr) {
-    core::SynthesisResult fetched;
-    std::int64_t entry_cap = 0;
-    if (ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
-      return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap, waited,
-                            outcome);
-    }
-  }
-
-  std::shared_ptr<const core::SynthesisResult> result;
-  try {
-    result = std::make_shared<const core::SynthesisResult>(
-        SynthesizePrograms(sh, options));
-  } catch (...) {
-    // Withdraw the announcement, wake the waiters, fire any registered
-    // continuations (a blocking owner can have deferred registrants too);
-    // each retries the lookup and (finding no entry and no flight)
-    // dispatches the synthesis itself.
-    lock.lock();
-    SettleFlight(lock, base);
-    throw;
-  }
-
-  lock.lock();
-  // Replace any existing entry: we only reach here when it could not serve
-  // this cap, i.e. it was truncated below `cap` — the new result strictly
-  // extends it (determinism: both are prefixes of the same ordered list).
-  Entry entry;
-  entry.result = result;
-  entry.original_seconds = result->stats.seconds;
-  entry.max_programs = cap;
-  entry.owner_tenant = tenant;
-  PublishLocked(base, std::move(entry));
-  ++stats_.misses;
-  // stats_.dedup_waits counts only waits that *avoided* a synthesis (a
-  // subset of hits, per the header); a wait that ended here — the finished
-  // entry could not serve this cap — ran its own synthesis after all, so
-  // it is recorded only in the caller's outcome.
-  if (outcome != nullptr) outcome->waited = waited;
-  SettleFlight(lock, base);
-  // Publish the completion to the plane (after settling — local waiters
-  // never stall behind the wire). A failed publish only loses cross-worker
-  // reuse of this one entry.
-  if (remote != nullptr &&
-      !remote->Publish(
-          base + std::string(kCapMarker) + std::to_string(cap), *result)) {
-    std::unique_lock<std::mutex> relock(mu_);
-    ++stats_.remote_errors;
-  }
-  return result;
 }
 
 bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
@@ -335,13 +271,13 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
     const std::string& base, core::SynthesisResult fetched,
-    std::int64_t entry_cap, std::int64_t cap, bool waited,
-    CacheLookupOutcome* outcome) {
+    std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome) {
   const double original_seconds = fetched.stats.seconds;
   // Like Preload: this process spent nothing synthesizing, so the served
   // result reports zero seconds while the foreign wall-clock lives on in
   // original_seconds for the savings accounting.
   fetched.stats.seconds = 0.0;
+  const bool waited = outcome != nullptr && outcome->waited;
   std::unique_lock<std::mutex> lock(mu_);
   Entry entry;
   entry.result =
@@ -367,36 +303,46 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
     outcome->seconds_saved = original_seconds;
   }
   auto result = published.result;
-  // Settle the flight we claimed before consulting the plane: parked
-  // waiters and deferred continuations are served from the adopted entry.
+  // Settle the flight we claimed before consulting the plane: waiters are
+  // served from the adopted entry.
   SettleFlight(lock, base);
-  if (!subsumed) return result;
-  auto truncated = std::make_shared<core::SynthesisResult>();
-  truncated->stats = result->stats;
-  truncated->programs.assign(
-      result->programs.begin(),
-      result->programs.begin() + static_cast<std::ptrdiff_t>(cap));
-  return truncated;
+  return subsumed ? Prefix(*result, cap) : result;
 }
 
-std::shared_ptr<const core::SynthesisResult> SynthesisCache::FetchRemoteOwned(
+std::shared_ptr<const core::SynthesisResult> SynthesisCache::ResolveOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    CacheLookupOutcome* outcome) {
+    CacheLookupOutcome* outcome, std::int64_t tenant) {
   std::shared_ptr<RemoteCacheBackend> remote;
   {
     std::unique_lock<std::mutex> lock(mu_);
     remote = remote_;
   }
-  if (remote == nullptr) return nullptr;
-  const std::string base = BaseKey(sh, options);
-  const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
-  core::SynthesisResult fetched;
-  std::int64_t entry_cap = 0;
-  if (!ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
-    return nullptr;
+  // Consult the plane before paying for a synthesis. The flight was claimed
+  // first, so local concurrent lookups wait behind the remote round trip
+  // too: the process makes one plane query per signature, not one per
+  // caller.
+  if (remote != nullptr) {
+    const std::string base = BaseKey(sh, options);
+    core::SynthesisResult fetched;
+    std::int64_t entry_cap = 0;
+    if (ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
+      return AdoptRemoteHit(base, std::move(fetched), entry_cap,
+                            std::max<std::int64_t>(0, options.max_programs),
+                            outcome);
+    }
   }
-  return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap,
-                        /*waited=*/false, outcome);
+  std::shared_ptr<const core::SynthesisResult> result;
+  try {
+    result = std::make_shared<const core::SynthesisResult>(
+        SynthesizePrograms(sh, options));
+  } catch (...) {
+    // The dead-owner contract: withdraw the flight, so every waiter retries
+    // and claims the synthesis itself.
+    AbandonOwned(sh, options);
+    throw;
+  }
+  CompleteOwned(sh, options, result, tenant);
+  return result;
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
@@ -434,46 +380,48 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
   // seconds) stay those of the run that produced the entry, like any other
   // hit.
   lock.unlock();
-  if (!subsumed) return result;
-  auto truncated = std::make_shared<core::SynthesisResult>();
-  truncated->stats = result->stats;
-  truncated->programs.assign(
-      result->programs.begin(),
-      result->programs.begin() + static_cast<std::ptrdiff_t>(cap));
-  return truncated;
+  return subsumed ? Prefix(*result, cap) : result;
 }
 
 void SynthesisCache::SettleFlight(std::unique_lock<std::mutex>& lock,
                                   const std::string& base) {
   const auto fit = inflight_.find(base);
-  const std::shared_ptr<InFlight> flight = fit->second;
-  std::vector<InFlight::Continuation> continuations =
-      std::move(flight->continuations);
+  std::vector<Continuation> continuations = std::move(fit->second);
   stats_.continuations_fired += static_cast<std::int64_t>(continuations.size());
   inflight_.erase(fit);
   lock.unlock();
-  // Parked waiters first (they re-lock mu_ themselves), then the deferred
-  // ones' continuations — all outside every lock, so a continuation is free
-  // to call straight back into the cache or into a ThreadPool group.
-  flight->MarkDone();
-  for (InFlight::Continuation& continuation : continuations) continuation.fn();
+  // Outside every lock, so a continuation is free to call straight back
+  // into the cache or into a ThreadPool group.
+  for (Continuation& continuation : continuations) continuation.fn();
 }
 
 SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     std::function<void()> on_resolved, DeferredLookup* deferred,
     CacheLookupOutcome* outcome, std::int64_t tenant) {
+  return Lookup(sh, options, std::move(on_resolved), deferred, outcome, tenant,
+                /*park=*/false);
+}
+
+SynthesisCache::TryLookupResult SynthesisCache::Lookup(
+    const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
+    std::function<void()> on_resolved, DeferredLookup* deferred,
+    CacheLookupOutcome* outcome, std::int64_t tenant, bool park) {
   if (outcome != nullptr) *outcome = CacheLookupOutcome{};
   const std::string base = BaseKey(sh, options);
+  // Clamp like the synthesizer does: a non-positive cap means "no programs"
+  // (core::SynthesizePrograms returns an empty list for it), so it is
+  // served from any entry as an empty prefix — never as a negative
+  // iterator offset.
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
 
   TryLookupResult r;
   std::unique_lock<std::mutex> lock(mu_);
-  // A retry after a deferral releases its reservation here — under the same
-  // lock acquisition as the lookup below, so eviction (which also needs the
-  // lock) cannot squeeze between the release and the read. This mirrors
-  // GetOrSynthesize's post-wake release_reservation() exactly.
-  if (deferred->active_) {
+  // A retry releases its reservation here — under the same lock acquisition
+  // as the lookup below, so eviction (which also needs the lock) cannot
+  // squeeze between the release and the read.
+  const bool retry = deferred->active_;
+  if (retry) {
     deferred->active_ = false;
     const auto rit = reserved_.find(deferred->base_);
     if (--rit->second == 0) reserved_.erase(rit);
@@ -482,27 +430,26 @@ SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
   if (it != entries_.end() && it->second.CanServe(cap)) {
     r.state = TryLookupState::kReady;
     r.result = ServeHitLocked(lock, it->second, cap, tenant,
-                              /*waited=*/false, outcome);
+                              /*waited=*/park && retry, outcome);
     return r;
   }
   const auto fit = inflight_.find(base);
   if (fit != inflight_.end()) {
-    // Defer: reserve the base (the published entry must survive until our
-    // retry reads it — the same immunity a parked waiter holds) and
-    // register the continuation under the tag CancelDeferred withdraws by.
+    // Wait: reserve the base (the published entry must survive until our
+    // retry reads it) and register the continuation under the tag
+    // CancelDeferred withdraws by.
     ++reserved_[base];
     deferred->active_ = true;
     deferred->base_ = base;
     deferred->id_ = next_continuation_id_++;
-    fit->second->continuations.push_back(
-        InFlight::Continuation{deferred->id_, std::move(on_resolved)});
-    ++stats_.deferred_lookups;
+    fit->second.push_back(Continuation{deferred->id_, std::move(on_resolved)});
+    ++(park ? stats_.waiter_parks : stats_.deferred_lookups);
     r.state = TryLookupState::kInFlight;
     return r;
   }
   // Claim the flight: the caller is now the owner every concurrent lookup
-  // of this base parks or defers behind, until CompleteOwned/AbandonOwned.
-  inflight_.emplace(base, std::make_shared<InFlight>());
+  // of this base waits behind, until CompleteOwned/AbandonOwned.
+  inflight_.emplace(base, std::vector<Continuation>{});
   r.state = TryLookupState::kOwned;
   return r;
 }
@@ -523,9 +470,9 @@ void SynthesisCache::CompleteOwned(
   PublishLocked(base, std::move(entry));
   ++stats_.misses;
   SettleFlight(lock, base);
-  // Publish to the remote plane after settling, exactly like the
-  // GetOrSynthesize owner path: local waiters never stall behind the wire,
-  // and a failed publish only loses cross-worker reuse of this entry.
+  // Publish to the remote plane after settling: local waiters never stall
+  // behind the wire, and a failed publish only loses cross-worker reuse of
+  // this entry.
   if (remote != nullptr &&
       !remote->Publish(
           base + std::string(kCapMarker) + std::to_string(cap), *completed)) {
@@ -554,7 +501,7 @@ void SynthesisCache::CancelDeferred(DeferredLookup* deferred) {
   // late as the caller's fire-once no-op.
   const auto fit = inflight_.find(deferred->base_);
   if (fit != inflight_.end()) {
-    auto& continuations = fit->second->continuations;
+    auto& continuations = fit->second;
     for (auto it = continuations.begin(); it != continuations.end(); ++it) {
       if (it->id == deferred->id_) {
         continuations.erase(it);

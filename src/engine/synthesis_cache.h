@@ -13,33 +13,26 @@
 // The cache is the process-wide shared core of the planning service
 // (engine/service.h), so it is built for concurrent queries:
 //
-//  - In-flight deduplication: when two threads miss the same signature
-//    simultaneously, exactly one runs the synthesis; the others block on it
-//    and are then served the finished entry (one miss total, the rest are
-//    hits that `waited`). An owner whose synthesis throws — including a
-//    cooperative cancellation of *its* request — withdraws the in-flight
-//    announcement before waking the waiters, so each waiter re-checks,
-//    finds no flight, and dispatches the synthesis itself: a dead owner
-//    never parks its waiters forever. Symmetrically, a waiter whose own
-//    request aborts (SynthesisOptions::cancel) interrupts its wait and
-//    unwinds instead of riding out a foreign owner's synthesis.
-//  - Non-blocking lookups: TryLookup() is the deferral-capable face of the
-//    same machinery. Instead of parking on a foreign in-flight synthesis it
-//    registers a completion continuation and returns kInFlight, holding the
-//    same eviction reservation a parked waiter would; owner completion AND
-//    owner death fire the continuations (outside the cache lock), and the
-//    caller retries with the same DeferredLookup handle — the retry
-//    releases the reservation under the same lock acquisition as its
-//    lookup, exactly the parked path's closed publish-to-read window. A
-//    caller that loses interest settles with CancelDeferred(), which
-//    releases the reservation like a cancelled parked waiter and withdraws
-//    the continuation (one already extracted by a completing owner may
-//    still fire late — callers guard with a fire-once flag). kOwned tells
-//    the caller to synthesize itself and settle with CompleteOwned /
-//    AbandonOwned. The pipeline's deferral scheduler (engine/pipeline.cc)
-//    is built on this surface, so no pool thread ever parks on another
-//    request's synthesis (`waiter_parks` counts the remaining blocking
-//    waits of the GetOrSynthesize path).
+//  - In-flight deduplication: when two callers miss the same signature
+//    simultaneously, exactly one owns the synthesis; the other registers a
+//    completion continuation on the owner's flight and is then served the
+//    finished entry (one miss total, the rest are hits). Continuations are
+//    the only in-flight primitive. TryLookup() returns kInFlight after
+//    registering one, so the pipeline's work loop (engine/pipeline.cc)
+//    re-enqueues the task instead of parking a thread (`deferred_lookups`).
+//    GetOrSynthesize() is TryLookup plus a block on a per-call latch that
+//    its own continuation opens (`waiter_parks`, and `dedup_waits` when the
+//    wait is served). An owner whose synthesis throws — including a
+//    cooperative cancellation of *its* request — withdraws the flight
+//    before firing the continuations, so each waiter retries, finds no
+//    flight, and claims the synthesis itself: a dead owner never strands
+//    its waiters. A blocked caller whose own request aborts
+//    (SynthesisOptions::cancel) stops waiting and settles with
+//    CancelDeferred(); a continuation an owner already extracted may still
+//    fire late, so callers guard against it (a fire-once flag, or a latch
+//    that outlives the call). Owners run ResolveOwned(): consult the remote
+//    plane, synthesize, then publish or withdraw, then publish back to the
+//    plane.
 //  - max_programs subsumption: an entry synthesized under a larger
 //    max_programs cap serves smaller-cap queries by truncating its program
 //    list. That is exact, not approximate: SynthesizePrograms keeps the
@@ -53,16 +46,16 @@
 //    overflow (`evictions` stat). Eviction only ever costs re-synthesis —
 //    results are unchanged — and it never drops an entry a concurrent
 //    in-flight waiter is about to be served from: a waiter reserves its
-//    base key before blocking and releases the reservation only after its
-//    post-wake lookup, so a reserved base is immune to eviction for the
-//    whole window between publication and the last waiter's read.
+//    base key when it registers its continuation and releases the
+//    reservation only in its retry lookup, so a reserved base is immune to
+//    eviction for the whole window between publication and the last
+//    waiter's read.
 //
 // The cache can also be warmed from and persisted to disk across processes
 // via engine/cache_store.h (Preload/Snapshot below).
 #ifndef P2_ENGINE_SYNTHESIS_CACHE_H_
 #define P2_ENGINE_SYNTHESIS_CACHE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -88,8 +81,9 @@ struct SynthesisCacheStats {
   /// Hits served by truncating an entry synthesized under a larger
   /// max_programs cap (a subset of `hits`).
   std::int64_t subsumed_hits = 0;
-  /// Lookups that blocked on a concurrent in-flight synthesis of the same
-  /// signature instead of running their own (a subset of `hits`).
+  /// GetOrSynthesize calls that blocked on a concurrent in-flight synthesis
+  /// of the same signature and were then served by it instead of running
+  /// their own (a subset of `hits`).
   std::int64_t dedup_waits = 0;
   /// Hits served by an entry a *different tenant's* query synthesized (a
   /// subset of `hits`; see the tenant tag on GetOrSynthesize) — the
@@ -98,14 +92,15 @@ struct SynthesisCacheStats {
   /// Entries dropped by the LRU cap (max_entries in the constructor).
   std::int64_t evictions = 0;
   /// TryLookup calls that found a foreign in-flight synthesis and registered
-  /// a completion continuation instead of parking (TryLookupState::kInFlight
-  /// returns — the non-blocking counterpart of dedup_waits).
+  /// a completion continuation (TryLookupState::kInFlight returns). Blocking
+  /// GetOrSynthesize calls never count here; they count waiter_parks.
   std::int64_t deferred_lookups = 0;
   /// Continuations fired at owner completion or withdrawal.
   std::int64_t continuations_fired = 0;
   /// GetOrSynthesize calls that parked their thread behind a foreign
-  /// in-flight synthesis (one per park, not per call). The deferral-aware
-  /// pipeline keeps this at 0: its lookups go through TryLookup.
+  /// in-flight synthesis (one per park, not per call). The pipeline keeps
+  /// this at 0 whenever it defers (a threaded pool with
+  /// PipelineOptions::defer_inflight).
   std::int64_t waiter_parks = 0;
   /// Local misses served by fetching a foreign worker's entry from the
   /// remote cache plane (engine/remote_cache.h; a subset of `hits`). Zero
@@ -136,7 +131,8 @@ struct CacheLookupOutcome {
   /// hits).
   bool from_remote = false;
   bool subsumed = false;   ///< served by truncating a larger-cap entry
-  bool waited = false;     ///< blocked on a concurrent in-flight synthesis
+  /// GetOrSynthesize blocked on a concurrent in-flight synthesis
+  bool waited = false;
   /// Served by an entry another tenant's query synthesized (see the tenant
   /// tag on GetOrSynthesize; never set for disk-preloaded entries, which
   /// belong to no tenant).
@@ -156,8 +152,8 @@ class SynthesisCache {
   /// How a non-blocking TryLookup resolved.
   enum class TryLookupState {
     kReady,     ///< served from the table; `result` is set
-    kOwned,     ///< the caller claimed the synthesis: it must synthesize and
-                ///< settle with CompleteOwned (or AbandonOwned on failure)
+    kOwned,     ///< the caller claimed the synthesis: it must settle the
+                ///< flight, normally through ResolveOwned
     kInFlight,  ///< a foreign call owns an in-flight synthesis; the
                 ///< continuation was registered and `deferred` now holds the
                 ///< reservation
@@ -200,30 +196,31 @@ class SynthesisCache {
       : max_entries_(max_entries) {}
 
   /// Attaches (or, with nullptr, detaches) the remote cache plane
-  /// (engine/remote_cache.h). With a backend attached, every local miss
-  /// consults the plane before synthesizing — adopting a foreign worker's
-  /// entry as a hit (`remote_hits`), waiting out a foreign in-flight
-  /// synthesis (bounded retries behind its ownership grant), or proceeding
-  /// to a local synthesis whose completion is published back to the plane.
-  /// Backend failures only ever count `remote_errors` and degrade to
-  /// local-only behaviour. Set before concurrent use.
+  /// (engine/remote_cache.h). With a backend attached, every owner consults
+  /// the plane before synthesizing (ResolveOwned) — adopting a foreign
+  /// worker's entry as a hit (`remote_hits`), waiting out a foreign
+  /// in-flight synthesis (bounded retries behind its ownership grant), or
+  /// proceeding to a local synthesis whose completion is published back to
+  /// the plane. Backend failures only ever count `remote_errors` and
+  /// degrade to local-only behaviour. Set before concurrent use.
   void set_remote(std::shared_ptr<RemoteCacheBackend> remote);
 
   /// Returns the memoized synthesis result for `sh`'s signature under
-  /// `options`, running core::SynthesizePrograms on a miss. Safe to call
-  /// concurrently; see the file comment for the in-flight-dedup,
-  /// max_programs-subsumption and LRU semantics. `outcome`, when non-null,
-  /// receives how this particular call was resolved. `tenant` is an opaque
-  /// caller identity (the service's tenant id) used only for the
+  /// `options`, running core::SynthesizePrograms on a miss: TryLookup, then
+  /// ResolveOwned when the claim is ours, or a block until the foreign
+  /// owner settles and a retry. The block ends early — CancelDeferred, then
+  /// the request's abort error — when `options.cancel` fires. Safe to call
+  /// concurrently; see the file comment. `outcome`, when non-null, receives
+  /// how this particular call was resolved. `tenant` is an opaque caller
+  /// identity (the service's tenant id) used only for the
   /// cross-tenant-reuse accounting.
   std::shared_ptr<const core::SynthesisResult> GetOrSynthesize(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
       CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
 
-  /// Non-blocking lookup. kReady serves exactly like GetOrSynthesize's hit
-  /// path (same stats and outcome attribution). kOwned announces this
-  /// caller as the in-flight owner — it must run the synthesis itself and
-  /// settle with CompleteOwned / AbandonOwned. kInFlight registers
+  /// Non-blocking lookup. kReady serves a hit (stats and `outcome` filled).
+  /// kOwned announces this caller as the in-flight owner — it must settle
+  /// the flight, normally through ResolveOwned. kInFlight registers
   /// `on_resolved` to fire (outside the cache lock, from whichever thread
   /// settles the flight) when the current owner publishes or withdraws,
   /// takes an eviction reservation, and marks `deferred` active; the caller
@@ -241,42 +238,36 @@ class SynthesisCache {
                             CacheLookupOutcome* outcome = nullptr,
                             std::int64_t tenant = kNoTenant);
 
+  /// The owner sequence of a kOwned TryLookup: consult the remote plane,
+  /// else synthesize; then publish (CompleteOwned) or, when the synthesis
+  /// throws, withdraw (AbandonOwned) and rethrow. A remote hit is adopted
+  /// into the table and counted as a hit + remote_hit in `outcome`; a local
+  /// synthesis leaves `outcome` a miss. A `waited` flag the caller set in
+  /// `outcome` beforehand is kept and, on a remote hit, counts dedup_waits.
+  std::shared_ptr<const core::SynthesisResult> ResolveOwned(
+      const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
+      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
+
   /// Publishes the result of a kOwned TryLookup (the owner's miss — counted
-  /// here), fires registered continuations, and wakes parked waiters.
+  /// here), fires registered continuations, then publishes the entry to the
+  /// remote plane, if one is attached.
   void CompleteOwned(const core::SynthesisHierarchy& sh,
                      const core::SynthesisOptions& options,
                      std::shared_ptr<const core::SynthesisResult> result,
                      std::int64_t tenant = kNoTenant);
 
   /// Withdraws a kOwned announcement whose synthesis failed (cancellation
-  /// included): continuations fire and parked waiters wake, and each
-  /// retries and re-dispatches — the dead-owner contract of the parked
-  /// path, verbatim.
+  /// included): continuations fire, and each waiter retries and claims the
+  /// synthesis itself.
   void AbandonOwned(const core::SynthesisHierarchy& sh,
                     const core::SynthesisOptions& options);
 
   /// Settles an active deferred lookup without retrying: releases its
-  /// eviction reservation — exactly like a cancelled parked waiter — and
-  /// withdraws its continuation registration. A continuation already
-  /// extracted by a settling owner may still fire afterwards; that late
-  /// fire must be a no-op for the caller. No-op on an inactive handle.
+  /// eviction reservation and withdraws its continuation registration. A
+  /// continuation already extracted by a settling owner may still fire
+  /// afterwards; that late fire must be a no-op for the caller. No-op on an
+  /// inactive handle.
   void CancelDeferred(DeferredLookup* deferred);
-
-  /// Remote consult for a kOwned TryLookup, before the owner pays for a
-  /// local synthesis. Non-null when the plane served the signature: the
-  /// fetched result was adopted into the table, the owner's flight was
-  /// settled (waking parked waiters and firing continuations), the fetch
-  /// was counted as a hit + remote_hit, and `outcome` was filled — the
-  /// caller must NOT call CompleteOwned/AbandonOwned and uses the returned
-  /// (cap-truncated) result directly. Null — no backend, plane unavailable,
-  /// plane miss with the grant now ours, or retry budget exhausted — leaves
-  /// the flight untouched: synthesize locally and settle as usual
-  /// (CompleteOwned publishes back to the plane). May block for bounded
-  /// retry-after waits behind a foreign in-flight synthesis; returns early
-  /// (null) when `options.cancel` fires.
-  std::shared_ptr<const core::SynthesisResult> FetchRemoteOwned(
-      const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr);
 
   /// Cache-plane (server-side) lookup by persisted base key, for the wire
   /// cache server (src/server/planner_server.h). Non-blocking: true when an
@@ -368,45 +359,34 @@ class SynthesisCache {
     }
   };
 
-  /// One signature currently being synthesized; later arrivals block in
-  /// Wait() instead of synthesizing again. The owner signals completion (or
-  /// withdrawal) with MarkDone(); a cancellable waiter additionally
-  /// registers the cv with its own CancelToken (common/cancel.h), so a
-  /// cancel of *its* request wakes it immediately — no poll interval.
-  struct InFlight {
-    void MarkDone();
-    /// Blocks until MarkDone(); true then. False when `cancel` aborted
-    /// first — including deadline expiry, which never notifies a cv, so the
-    /// block is bounded by the token's armed deadline.
-    bool Wait(const CancelToken& cancel);
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-
-    /// One deferred waiter's completion callback. Guarded by the *cache's*
-    /// mu_ (not by `m`): registration, withdrawal, and extraction all
-    /// happen under the cache lock; firing happens outside every lock.
-    struct Continuation {
-      std::uint64_t id = 0;
-      std::function<void()> fn;
-    };
-    std::vector<Continuation> continuations;
+  /// One deferred waiter's completion callback, registered on the flight of
+  /// its signature. Registration, withdrawal and extraction happen under
+  /// mu_; firing happens outside every lock.
+  struct Continuation {
+    std::uint64_t id = 0;
+    std::function<void()> fn;
   };
 
   /// Inserts or replaces the entry at `base` (mu_ held), maintaining the
   /// LRU list.
   Entry& PublishLocked(const std::string& base, Entry entry);
-  /// The shared hit path of GetOrSynthesize and TryLookup: LRU touch, hit
-  /// stats and outcome attribution, then (unlocked) the exact subsumption
-  /// truncation. `lock` must hold mu_ on entry; released on return.
+  /// TryLookup with the blocking caller's accounting when `park` is set: a
+  /// registration counts waiter_parks instead of deferred_lookups, and a
+  /// retry that is served counts dedup_waits.
+  TryLookupResult Lookup(const core::SynthesisHierarchy& sh,
+                         const core::SynthesisOptions& options,
+                         std::function<void()> on_resolved,
+                         DeferredLookup* deferred, CacheLookupOutcome* outcome,
+                         std::int64_t tenant, bool park);
+  /// The hit path of Lookup: LRU touch, hit stats and outcome attribution,
+  /// then (unlocked) the exact subsumption truncation. `lock` must hold mu_
+  /// on entry; released on return.
   std::shared_ptr<const core::SynthesisResult> ServeHitLocked(
       std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
       std::int64_t tenant, bool waited, CacheLookupOutcome* outcome);
   /// Settles the flight at `base`: erases the announcement and extracts its
-  /// continuations under `lock`, then (unlocked) wakes parked waiters and
-  /// fires the continuations. `lock` must hold mu_ on entry; released on
-  /// return.
+  /// continuations under `lock`, then (unlocked) fires them. `lock` must
+  /// hold mu_ on entry; released on return.
   void SettleFlight(std::unique_lock<std::mutex>& lock,
                     const std::string& base);
   /// Moves `base` to the front of the LRU list (mu_ held).
@@ -426,8 +406,7 @@ class SynthesisCache {
   /// (cap-truncated) result. Takes mu_.
   std::shared_ptr<const core::SynthesisResult> AdoptRemoteHit(
       const std::string& base, core::SynthesisResult fetched,
-      std::int64_t entry_cap, std::int64_t cap, bool waited,
-      CacheLookupOutcome* outcome);
+      std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome);
   /// Drops least-recently-used entries until the cap holds, skipping bases
   /// with outstanding waiter reservations (mu_ held); a no-op when
   /// max_entries_ <= 0.
@@ -436,10 +415,11 @@ class SynthesisCache {
   const std::int64_t max_entries_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;  ///< by BaseKey
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  /// Bases with in-flight waiters parked on them (count of waiters): a
-  /// reservation makes the base immune to LRU eviction until the waiter's
-  /// post-wake lookup has run, closing the publish-to-read window.
+  /// In-flight syntheses by base key, each with its waiters' continuations.
+  std::unordered_map<std::string, std::vector<Continuation>> inflight_;
+  /// Bases with registered waiters (count of waiters): a reservation makes
+  /// the base immune to LRU eviction until the waiter's retry lookup has
+  /// run, closing the publish-to-read window.
   std::unordered_map<std::string, std::int64_t> reserved_;
   std::list<std::string> lru_;  ///< base keys, most-recently-used first
   /// Tags deferred-lookup continuation registrations so CancelDeferred can

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "engine/cli.h"
@@ -105,9 +106,27 @@ void PlannerServer::AcceptLoop() {
       continue;
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    conn_fds_.insert(fd);
-    threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    std::vector<std::thread> reaped;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const std::thread::id id : finished_) {
+        auto node = threads_.extract(id);
+        reaped.push_back(std::move(node.mapped()));
+      }
+      finished_.clear();
+      conn_fds_.insert(fd);
+      try {
+        std::thread thread([this, fd] { ServeConnection(fd); });
+        const std::thread::id id = thread.get_id();
+        threads_.emplace(id, std::move(thread));
+      } catch (const std::system_error&) {
+        // Out of threads: drop this connection, keep serving the others.
+        conn_fds_.erase(fd);
+        ::close(fd);
+      }
+    }
+    // Finished threads only have their return left to run.
+    for (std::thread& thread : reaped) thread.join();
   }
 }
 
@@ -165,6 +184,7 @@ void PlannerServer::ServeConnection(int fd) {
   ::close(fd);
   std::lock_guard<std::mutex> lock(mu_);
   conn_fds_.erase(fd);
+  finished_.push_back(std::this_thread::get_id());
 }
 
 bool PlannerServer::HandleFrame(int fd, const Frame& frame) {
@@ -387,14 +407,13 @@ void PlannerServer::Shutdown() {
   if (accept_thread_.joinable()) accept_thread_.join();
   // The accept thread is gone, so threads_ can no longer grow; joining a
   // snapshot under the lock is therefore complete.
-  std::vector<std::thread> workers;
+  std::unordered_map<std::thread::id, std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     workers.swap(threads_);
+    finished_.clear();
   }
-  for (std::thread& t : workers) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : workers) t.join();
 }
 
 void PlannerServer::Wait() {

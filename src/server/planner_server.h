@@ -8,7 +8,8 @@
 //   server.Shutdown();                        // BeginDrain, close, join
 //
 // One thread blocks in accept(); each connection gets its own thread that
-// decodes frames and serves them in order. Every plan request goes through
+// decodes frames and serves them in order, and is joined by the accept loop
+// once the connection closes. Every plan request goes through
 // PlannerService::Submit, so admission control, per-tenant accounting,
 // deadlines and drain apply to wire traffic exactly as to in-process
 // callers; the response carries the CanonicalResultText body (byte-equal
@@ -147,13 +148,17 @@ class PlannerServer {
       grants_;
 
   std::atomic<bool> shutting_down_{false};
-  std::mutex mu_;  ///< guards conn_fds_ and threads_
+  std::mutex mu_;  ///< guards conn_fds_, threads_ and finished_
   /// Serializes shutdown requests (held across the drain, so a racing
   /// second request blocks until the first finished) and backs Wait().
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
   std::unordered_set<int> conn_fds_;
-  std::vector<std::thread> threads_;  ///< connection threads
+  /// Live connection threads by id. A thread records its id in finished_
+  /// as its last step; the accept loop joins and drops those before each
+  /// new connection, so threads (and their stacks) never pile up.
+  std::unordered_map<std::thread::id, std::thread> threads_;
+  std::vector<std::thread::id> finished_;
   std::thread accept_thread_;
 
   std::atomic<std::int64_t> connections_{0};

@@ -100,16 +100,6 @@ TEST(Pipeline, CachePersistsAcrossRequestsOfOneService) {
   EXPECT_EQ(stats.cache.hits, 4);
 }
 
-TEST(Pipeline, EngineRunExperimentHonoursThreadOption) {
-  EngineOptions opts = FastOptions();
-  const Engine serial_eng(topology::MakeA100Cluster(2), opts);
-  opts.threads = 4;
-  const Engine parallel_eng(topology::MakeA100Cluster(2), opts);
-  EXPECT_EQ(
-      ToJson(WithoutTimings(parallel_eng.RunExperiment(kAxes, kReduce))),
-      ToJson(WithoutTimings(serial_eng.RunExperiment(kAxes, kReduce))));
-}
-
 TEST(Pipeline, ExperimentResultCarriesPipelineStatsInJson) {
   const Engine eng(topology::MakeA100Cluster(2), FastOptions());
   const auto result = eng.RunExperiment(kAxes, kReduce);

@@ -253,6 +253,64 @@ TEST(PlannerService, DeferredRequestsResolveOnOwnerCompletion) {
   EXPECT_GE(stats.latency_p99_seconds, stats.latency_p50_seconds);
 }
 
+// An inline (threads = 1) service runs each request on its submitting
+// thread, where nothing else could commit a deferred task: a lookup that
+// finds another submitter's synthesis in flight must block on it, never
+// defer. Four submitters race on one config whose first synthesis is held
+// open until a racer has parked behind it.
+TEST(PlannerService, InlinePoolRacingSubmittersBlockInsteadOfDeferring) {
+  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
+  PlanRequest request;
+  request.axes = {8, 2, 2};  // 3 placements, 2 unique signatures
+  request.reduction_axes = {0};
+
+  std::string reference;
+  std::int64_t unique_signatures = 0;
+  {
+    PlannerService serial(engine, PlannerServiceOptions{.threads = 1});
+    const ExperimentResult result = serial.Plan(request);
+    reference = CanonicalResultText(result);
+    unique_signatures = result.pipeline.unique_hierarchies;
+  }
+
+  PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+  std::atomic<bool> armed{true};
+  std::atomic<bool> release{false};
+  FaultScope gate([&](std::string_view point) {
+    if (point != "synth.layer") return;
+    if (!armed.exchange(false)) return;  // only the first owner stalls
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  constexpr int kSubmitters = 4;
+  std::vector<std::string> bodies(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int i = 0; i < kSubmitters; ++i) {
+    submitters.emplace_back([&, i] {
+      bodies[static_cast<std::size_t>(i)] =
+          CanonicalResultText(service.Plan(request));
+    });
+  }
+  // Hold the owner until a racer has parked behind it; the timeout bounds
+  // the test if none ever does (the assertion below then fails).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (service.stats().cache.waiter_parks == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release.store(true);
+  for (auto& submitter : submitters) submitter.join();
+
+  for (const std::string& body : bodies) EXPECT_EQ(body, reference);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.cache.misses, unique_signatures);
+  EXPECT_GT(stats.cache.waiter_parks, 0);
+  EXPECT_EQ(stats.cache.deferred_lookups, 0);
+}
+
 TEST(PlannerService, SubmitIsAsynchronousAndFuturesCarryResults) {
   const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   PlannerService service(engine, PlannerServiceOptions{.threads = 2});

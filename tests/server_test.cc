@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -836,6 +837,47 @@ TEST(CacheServerTest, UnreachablePlaneDegradesToLocalSynthesis) {
   EXPECT_GT(stats.cache.misses, 0);
   EXPECT_GT(stats.cache.remote_errors, 0);
   EXPECT_EQ(stats.cache.remote_hits, 0);
+}
+
+/// A numeric field of /proc/self/status ("VmSize" in kB, "Threads"), or -1
+/// when it cannot be read.
+double ProcStatus(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stod(line.substr(field.size() + 1));
+    }
+  }
+  return -1.0;
+}
+
+// Connection churn must not grow the server: a connection thread is joined
+// once its connection closes, so its stack is unmapped instead of piling up
+// (one 8 MB stack per connection ever accepted, until Shutdown).
+TEST(PlannerServerTest, ConnectionChurnKeepsVirtualMemoryBounded) {
+  ServerFixture fixture;
+  const double threads_before = ProcStatus("Threads");
+  const double vm_before_kb = ProcStatus("VmSize");
+  ASSERT_GT(threads_before, 0.0);
+  ASSERT_GT(vm_before_kb, 0.0);
+  constexpr int kCycles = 1000;
+  for (int i = 1; i <= kCycles; ++i) {
+    { PlannerClient client(fixture.server->port()); }
+    // One connection at a time, and its thread gone before the next: the
+    // accept backlog never fills, and concurrently live threads cannot make
+    // malloc reserve fresh 64 MB arenas that would blur the measurement.
+    while (fixture.server->stats().connections < i ||
+           ProcStatus("Threads") > threads_before) {
+      std::this_thread::sleep_for(50us);
+    }
+  }
+  const double growth_mb = (ProcStatus("VmSize") - vm_before_kb) / 1024;
+  EXPECT_LT(growth_mb, 256.0) << "VmSize grew " << growth_mb << " MB over "
+                              << kCycles << " connect/close cycles";
+  // The server still serves after the churn.
+  PlannerClient client(fixture.server->port());
+  EXPECT_EQ(client.Plan(WireRequestFor(Configs()[0])).status, WireStatus::kOk);
 }
 
 TEST(PlannerServerTest, ShutdownFrameAcksOnlyAfterTheDrain) {
