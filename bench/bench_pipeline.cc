@@ -428,7 +428,13 @@ int main(int argc, char** argv) {
   EngineOptions opts;
   opts.payload_bytes = 1e9;
   opts.measure = false;  // prediction-only sweep (paper Section 5 workflow)
-  const Engine engine(p2::topology::MakeRackedA100Cluster(2, 2), opts);
+  const auto cluster = p2::topology::MakeRackedA100Cluster(2, 2);
+  const Engine engine(cluster, opts);
+  // Every timed variant runs on a fresh Engine: an Engine memoizes step
+  // costs (engine/step_memo.h), so a shared one would hand later variants
+  // the predictions earlier ones paid for, and their timings would compare
+  // unequal work.
+  const auto fresh_engine = [&] { return Engine(cluster, opts); };
   const auto grid = MakeGrid();
 
   std::printf(
@@ -437,7 +443,7 @@ int main(int argc, char** argv) {
       grid.size(), engine.cluster().ToString().c_str());
 
   std::vector<ExperimentResult> serial_results;
-  const auto serial = RunGrid(engine, PlannerServiceOptions{},
+  const auto serial = RunGrid(fresh_engine(), PlannerServiceOptions{},
                               /*cache_synthesis=*/false, grid, &serial_results);
 
   // The cached variant doubles as the warm variant's seeder: its service
@@ -450,12 +456,13 @@ int main(int argc, char** argv) {
   PlannerServiceOptions cached_options;
   cached_options.cache_file = cache_path;
   std::vector<ExperimentResult> cached_results;
-  const auto cached = RunGrid(engine, cached_options, /*cache_synthesis=*/true,
-                              grid, &cached_results);
+  const auto cached =
+      RunGrid(fresh_engine(), cached_options, /*cache_synthesis=*/true, grid,
+              &cached_results);
 
   std::vector<ExperimentResult> parallel_results;
   const auto parallel =
-      RunGrid(engine, PlannerServiceOptions{.threads = threads},
+      RunGrid(fresh_engine(), PlannerServiceOptions{.threads = threads},
               /*cache_synthesis=*/true, grid, &parallel_results);
 
   // Warm-from-disk: a fresh service (standing in for a second planner
@@ -463,8 +470,8 @@ int main(int argc, char** argv) {
   PlannerServiceOptions warm_options = cached_options;
   warm_options.cache_readonly = true;
   std::vector<ExperimentResult> warm_results;
-  const auto warm = RunGrid(engine, warm_options, /*cache_synthesis=*/true,
-                            grid, &warm_results);
+  const auto warm = RunGrid(fresh_engine(), warm_options,
+                            /*cache_synthesis=*/true, grid, &warm_results);
   std::filesystem::remove(cache_path);
 
   // ISSUE 4 acceptance setup: N overlapping queries on one shared service
@@ -487,7 +494,7 @@ int main(int argc, char** argv) {
   std::vector<ExperimentResult> concurrent_results;
   std::int64_t shared_misses = 0;
   const auto concurrent = RunGridConcurrently(
-      engine, threads, queries, &concurrent_results, &shared_misses);
+      fresh_engine(), threads, queries, &concurrent_results, &shared_misses);
 
   // ISSUE 5 acceptance setup: the same grid for two DISTINCT clusters — a
   // flat 4-node A100 system ([4 16] hierarchy) and an 8-node V100 system
@@ -622,10 +629,12 @@ int main(int argc, char** argv) {
   constexpr int kContendedThreads = 3;
   constexpr int kContendedCopies = 4;  // hot copies, >= threads
   const int kContendedBackground = 2 * (static_cast<int>(grid.size()) - 1);
-  const auto parked = RunContended(engine, kContendedThreads, /*defer=*/false,
-                                   grid, kContendedCopies, serial_results);
-  const auto deferred = RunContended(engine, kContendedThreads, /*defer=*/true,
-                                     grid, kContendedCopies, serial_results);
+  const auto parked =
+      RunContended(fresh_engine(), kContendedThreads, /*defer=*/false, grid,
+                   kContendedCopies, serial_results);
+  const auto deferred =
+      RunContended(fresh_engine(), kContendedThreads, /*defer=*/true, grid,
+                   kContendedCopies, serial_results);
   std::printf(
       "contended(%d hot + %d background, %d threads): deferred p99 %.3f ms / "
       "p50 %.3f ms (%lld deferred lookups) vs parked p99 %.3f ms / p50 "

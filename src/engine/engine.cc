@@ -98,7 +98,8 @@ Engine::Engine(topology::Cluster cluster, EngineOptions options)
                          ? options.payload_bytes
                          : DefaultPayloadBytes(cluster_)),
       cost_model_(cluster_),
-      executor_(cluster_) {}
+      executor_(cluster_),
+      step_memo_(cost_model_, executor_, payload_bytes_, options_.algo) {}
 
 double Engine::DefaultPayloadBytes(const topology::Cluster& cluster) {
   // Paper Section 4: (2^29 * nodes) float32 per GPU.

@@ -1,7 +1,9 @@
 // The P2 tool, end to end (paper Sections 3-5): enumerate parallelism
 // placements, synthesize reduction programs per placement, lower them,
 // predict their cost with the analytic model and measure them on the
-// runtime substrate, and rank the results.
+// runtime substrate, and rank the results. An Engine memoizes step costs
+// (engine/step_memo.h), so each distinct lowered step is predicted and
+// measured once over the Engine's lifetime.
 #ifndef P2_ENGINE_ENGINE_H_
 #define P2_ENGINE_ENGINE_H_
 
@@ -15,6 +17,7 @@
 #include "core/parallelism_matrix.h"
 #include "core/synthesizer.h"
 #include "cost/cost_model.h"
+#include "engine/step_memo.h"
 #include "runtime/executor.h"
 #include "topology/cluster.h"
 
@@ -171,8 +174,25 @@ class Engine {
   double payload_bytes() const { return payload_bytes_; }
   /// The analytic model and the runtime substrate. Both are const-thread-safe
   /// over their immutable topology::Network, so pipeline workers share them.
+  /// They are uncached: the independent oracle that checks what the
+  /// memoized PredictProgram / MeasureProgram below return.
   const cost::CostModel& cost_model() const { return cost_model_; }
   const runtime::Executor& executor() const { return executor_; }
+
+  /// The program's predicted / measured seconds at this engine's payload and
+  /// algo, through the engine's step-cost memo (engine/step_memo.h): each
+  /// distinct lowered step is evaluated once, and the totals are
+  /// bit-identical to cost_model().PredictProgram and
+  /// executor().MeasureProgram. Thread-safe; every prediction and
+  /// measurement the pipeline makes goes through these.
+  double PredictProgram(const core::LoweredProgram& program) const {
+    return step_memo_.PredictProgram(program);
+  }
+  double MeasureProgram(const core::LoweredProgram& program) const {
+    return step_memo_.MeasureProgram(program);
+  }
+  /// The memo itself, for tests (its computed() count).
+  const StepCostMemo& step_memo() const { return step_memo_; }
 
   /// The paper's payload: 2^29 * num_nodes float32 elements per GPU.
   static double DefaultPayloadBytes(const topology::Cluster& cluster);
@@ -212,6 +232,9 @@ class Engine {
   double payload_bytes_ = 0.0;
   cost::CostModel cost_model_;
   runtime::Executor executor_;
+  /// Refers to the members above, so an Engine is neither copied nor moved
+  /// (the memo's mutexes already forbid both).
+  mutable StepCostMemo step_memo_;
 };
 
 }  // namespace p2::engine

@@ -40,11 +40,9 @@ ProgramEvaluation EvaluateLowered(const Engine& engine,
   eval.program = program;
   eval.text = core::ToString(program, sh.level_names());
   eval.num_steps = static_cast<int>(program.size());
-  eval.predicted_seconds = engine.cost_model().PredictProgram(
-      lowered, engine.payload_bytes(), engine.options().algo);
+  eval.predicted_seconds = engine.PredictProgram(lowered);
   if (measure) {
-    eval.measured_seconds = engine.executor().MeasureProgram(
-        lowered, engine.payload_bytes(), engine.options().algo);
+    eval.measured_seconds = engine.MeasureProgram(lowered);
     eval.measured = true;
   }
   return eval;
@@ -119,9 +117,8 @@ PlacementEvaluation Pipeline::Evaluate(
     auto measure = [&](int index) {
       auto& p = eval.programs[static_cast<std::size_t>(index)];
       if (p.measured) return;
-      p.measured_seconds = engine_.executor().MeasureProgram(
-          lowered[static_cast<std::size_t>(index)], engine_.payload_bytes(),
-          engine_.options().algo);
+      p.measured_seconds =
+          engine_.MeasureProgram(lowered[static_cast<std::size_t>(index)]);
       p.measured = true;
     };
     measure(0);  // the baseline is always measured

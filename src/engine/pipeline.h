@@ -5,6 +5,8 @@
 //     -> synthesize once per signature (memoized in the service's shared
 //        SynthesisCache, with cross-request in-flight dedup)
 //     -> lower / predict / (guided-)measure every placement, in parallel
+//        (step costs through the Engine's step-cost memo, so each distinct
+//        lowered step is predicted and measured once per Engine)
 //     -> merge in placement order
 //
 // A Pipeline is stateless: it borrows the process-wide cache and worker
@@ -102,9 +104,9 @@ class Pipeline {
   PipelineOptions options_;
 };
 
-/// Lowers, predicts and optionally measures one program on the engine's cost
-/// model and runtime substrate (the shared per-program evaluation of every
-/// pipeline stage and of Engine::EvaluateProgram).
+/// Lowers, predicts and optionally measures one program through the engine's
+/// memoized Engine::PredictProgram / MeasureProgram (the shared per-program
+/// evaluation of every pipeline stage and of Engine::EvaluateProgram).
 ProgramEvaluation EvaluateProgramOnEngine(const Engine& engine,
                                           const core::SynthesisHierarchy& sh,
                                           const core::Program& program,

@@ -19,17 +19,29 @@ struct ActiveFlow {
   double rate = 0.0;
 };
 
+// Buffers of one Run call, reused by every event and rate recomputation so
+// the event loop allocates nothing once they have grown to size.
+struct RunScratch {
+  std::vector<int> count;         ///< per link: unfrozen flows crossing it
+  std::vector<char> frozen;       ///< per active flow
+  std::vector<double> cap;        ///< per link: capacity left to share
+  std::vector<char> task_completed;  ///< per task: a round finished this event
+};
+
 // Progressive filling: assigns max-min fair rates to the active flows.
 void ComputeRates(std::vector<ActiveFlow>& flows,
-                  const std::vector<Link>& links) {
-  std::vector<int> count(links.size(), 0);
-  std::vector<bool> frozen(flows.size(), false);
+                  const std::vector<Link>& links, RunScratch& scratch) {
+  std::vector<int>& count = scratch.count;
+  std::vector<char>& frozen = scratch.frozen;
+  std::vector<double>& cap = scratch.cap;
+  count.assign(links.size(), 0);
+  frozen.assign(flows.size(), 0);
   std::size_t unfrozen = 0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     if (flows[f].spec->links.empty()) {
       // Degenerate flow with no links: drains instantly.
       flows[f].rate = std::numeric_limits<double>::infinity();
-      frozen[f] = true;
+      frozen[f] = 1;
       continue;
     }
     ++unfrozen;
@@ -39,7 +51,7 @@ void ComputeRates(std::vector<ActiveFlow>& flows,
   }
   // Effective capacities: congested links (NICs of the measured network)
   // lose throughput as concurrent flows pile up.
-  std::vector<double> cap(links.size());
+  cap.resize(links.size());
   for (std::size_t l = 0; l < links.size(); ++l) {
     const double degrade =
         1.0 + links[l].congestion * std::max(0, count[l] - 1);
@@ -68,7 +80,7 @@ void ComputeRates(std::vector<ActiveFlow>& flows,
       }
       if (!bottlenecked) continue;
       flows[f].rate = share;
-      frozen[f] = true;
+      frozen[f] = 1;
       --unfrozen;
       for (int l : flows[f].spec->links) {
         const auto li = static_cast<std::size_t>(l);
@@ -91,6 +103,8 @@ double FlowSimulator::Run(const std::vector<TaskSequence>& tasks,
     int inflight = 0;
   };
   std::vector<TaskState> task_state(tasks.size());
+  RunScratch scratch;
+  scratch.task_completed.assign(tasks.size(), 0);
 
   std::vector<ActiveFlow> active;
   // (start_time, task) pending round starts.
@@ -135,7 +149,7 @@ double FlowSimulator::Run(const std::vector<TaskSequence>& tasks,
     if (active.empty()) continue;
 
     if (dirty) {
-      ComputeRates(active, links);
+      ComputeRates(active, links, scratch);
       if (stats != nullptr) ++stats->rate_recomputations;
       dirty = false;
     }
@@ -155,7 +169,7 @@ double FlowSimulator::Run(const std::vector<TaskSequence>& tasks,
     now += dt;
 
     // Drain and collect completions.
-    std::vector<char> task_completed(tasks.size(), 0);
+    std::vector<char>& task_completed = scratch.task_completed;
     std::size_t w = 0;
     for (std::size_t f = 0; f < active.size(); ++f) {
       ActiveFlow& af = active[f];
@@ -177,6 +191,7 @@ double FlowSimulator::Run(const std::vector<TaskSequence>& tasks,
 
     for (std::size_t task = 0; task < tasks.size(); ++task) {
       if (task_completed[task] == 0) continue;
+      task_completed[task] = 0;
       // Latency of the just-finished round: rounds pay their (max) message
       // latency once, before the next round may start.
       const TaskSequence& seq = tasks[task];
