@@ -1,10 +1,11 @@
 // Test-only fault injection for the planning stack. Library code marks
 // interesting points — synthesis frontier layers, pipeline stages,
-// cache-store I/O — with MaybeInjectFault("point.name"); tests and benches
-// install a process-wide hook that can stall (sleep) or fail (throw) at
-// chosen points, which is how tests/service_faults_test.cc holds a request
-// in flight long enough to cancel it, or makes a cache owner's synthesis
-// die so its waiters must re-dispatch.
+// cache-store I/O, the thread pool's deferred commit — with
+// MaybeInjectFault("point.name"); tests and benches install a process-wide
+// hook that can stall (sleep) or fail (throw) at chosen points, which is
+// how tests/service_faults_test.cc holds a request in flight long enough
+// to cancel it, or makes a cache owner's synthesis die so its waiters must
+// re-dispatch.
 //
 // Production builds carry the call sites but never install a hook, so a
 // checkpoint costs a single relaxed atomic load — the mechanism is inert

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/fault_injection.h"
+
 namespace p2 {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -97,18 +99,21 @@ void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
     }
     return;
   }
+  // Once the lock is released the task may run and the group's waiter may
+  // return and destroy the group, so the notifications go through `pool`.
+  ThreadPool& pool = pool_;
   {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
+    std::unique_lock<std::mutex> lock(pool.mu_);
     queue_.push_back(std::move(task));
     ++in_flight_;
     if (!scheduled_) {
       scheduled_ = true;
-      pool_.ready_.push_back(this);
+      pool.ready_.push_back(this);
     }
   }
-  pool_.work_available_.notify_one();
+  pool.work_available_.notify_one();
   // Helping waiters sleep on progress_, not work_available_.
-  pool_.progress_.notify_all();
+  pool.progress_.notify_all();
 }
 
 void ThreadPool::TaskGroup::Wait() {
@@ -149,26 +154,32 @@ void ThreadPool::TaskGroup::CommitDeferred(std::function<void()> task) {
     Submit(std::move(task));
     return;
   }
+  // The caller is usually a continuation running outside the group: once
+  // the task is queued, the group may finish and its owner destroy it
+  // before this returns, so nothing after the unlock may touch `this`.
+  ThreadPool& pool = pool_;
   {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
+    std::unique_lock<std::mutex> lock(pool.mu_);
     // in_flight_ already counts this task, since ReserveDeferred.
     queue_.push_back(std::move(task));
     if (!scheduled_) {
       scheduled_ = true;
-      pool_.ready_.push_back(this);
+      pool.ready_.push_back(this);
     }
   }
-  pool_.work_available_.notify_one();
-  pool_.progress_.notify_all();
+  MaybeInjectFault("thread_pool.commit_deferred");
+  pool.work_available_.notify_one();
+  pool.progress_.notify_all();
 }
 
 void ThreadPool::TaskGroup::AbandonDeferred() {
   if (pool_.workers_.empty()) return;
+  ThreadPool& pool = pool_;  // the group may be gone once in_flight_ drops
   {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
+    std::unique_lock<std::mutex> lock(pool.mu_);
     --in_flight_;
   }
-  pool_.progress_.notify_all();
+  pool.progress_.notify_all();
 }
 
 void ThreadPool::TaskGroup::Wait(const CancelToken& token,

@@ -93,7 +93,8 @@ class ThreadPool {
     /// Enqueues `task` against one earlier ReserveDeferred(). Safe from any
     /// thread, including callbacks running outside the pool; the task is
     /// scheduled like a Submit()ted one (round-robin, per-group fail-fast,
-    /// helpable from Wait).
+    /// helpable from Wait). The group may finish, and its owner destroy it,
+    /// before this returns: after enqueueing it touches only the pool.
     void CommitDeferred(std::function<void()> task);
     /// Releases one earlier ReserveDeferred() without enqueueing anything.
     void AbandonDeferred();

@@ -84,16 +84,29 @@ class StallGate {
       if (point != "pipeline.synthesize") return;
       if (armed_.exchange(false)) {
         entered_.store(true);
-        while (!release_.load()) std::this_thread::sleep_for(1ms);
+        if (!WaitFor(release_)) {
+          ADD_FAILURE() << "the stalled request was never released";
+        }
       }
     };
   }
   void AwaitEntered() const {
-    while (!entered_.load()) std::this_thread::sleep_for(1ms);
+    if (!WaitFor(entered_)) ADD_FAILURE() << "no request reached the gate";
   }
   void Release() { release_.store(true); }
 
  private:
+  /// Polls `flag` for up to a minute, so a gate that is never reached or
+  /// never released fails the test instead of hanging it.
+  static bool WaitFor(const std::atomic<bool>& flag) {
+    const auto deadline = std::chrono::steady_clock::now() + 60s;
+    while (!flag.load()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(1ms);
+    }
+    return true;
+  }
+
   std::atomic<bool> armed_{true};
   std::atomic<bool> entered_{false};
   std::atomic<bool> release_{false};
@@ -867,8 +880,14 @@ TEST(PlannerServerTest, ConnectionChurnKeepsVirtualMemoryBounded) {
     // One connection at a time, and its thread gone before the next: the
     // accept backlog never fills, and concurrently live threads cannot make
     // malloc reserve fresh 64 MB arenas that would blur the measurement.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (fixture.server->stats().connections < i ||
            ProcStatus("Threads") > threads_before) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        FAIL() << "connection " << i << " was not accepted and retired "
+               << "within 10 s (threads " << ProcStatus("Threads")
+               << ", before " << threads_before << ")";
+      }
       std::this_thread::sleep_for(50us);
     }
   }

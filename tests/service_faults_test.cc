@@ -70,16 +70,29 @@ class StallGate {
       if (point != "pipeline.synthesize") return;
       if (armed_.exchange(false)) {
         entered_.store(true);
-        while (!release_.load()) std::this_thread::sleep_for(1ms);
+        if (!WaitFor(release_)) {
+          ADD_FAILURE() << "the stalled request was never released";
+        }
       }
     };
   }
   void AwaitEntered() const {
-    while (!entered_.load()) std::this_thread::sleep_for(1ms);
+    if (!WaitFor(entered_)) ADD_FAILURE() << "no request reached the gate";
   }
   void Release() { release_.store(true); }
 
  private:
+  /// Polls `flag` for up to a minute, so a gate that is never reached or
+  /// never released fails the test instead of hanging it.
+  static bool WaitFor(const std::atomic<bool>& flag) {
+    const auto deadline = std::chrono::steady_clock::now() + 60s;
+    while (!flag.load()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(1ms);
+    }
+    return true;
+  }
+
   std::atomic<bool> armed_{true};  ///< only the first checkpoint stalls
   std::atomic<bool> entered_{false};
   std::atomic<bool> release_{false};

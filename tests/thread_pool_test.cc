@@ -5,13 +5,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/fault_injection.h"
 
 namespace p2 {
 namespace {
@@ -210,6 +213,52 @@ TEST(TaskGroup, AbandonDeferredReleasesTheReservation) {
   });
   group.Wait();  // unblocked by the abandonment, with nothing to run
   abandoner.join();
+}
+
+// A continuation commits from outside the group (the pipeline's deferred
+// cache lookups do). Once its task is queued, the group's owner may run it,
+// return from Wait and destroy the group while the committing thread is
+// still inside CommitDeferred: from then on CommitDeferred may touch only
+// the pool. The committer is held just after the enqueue until the group
+// is gone; touching the group there is a heap-use-after-free.
+TEST(TaskGroup, CommitDeferredOutlivedByItsGroupTouchesOnlyThePool) {
+  using Clock = std::chrono::steady_clock;
+  ThreadPool pool(2);
+  auto group = std::make_unique<ThreadPool::TaskGroup>(pool);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> destroyed{false};
+  FaultScope hold([&](std::string_view point) {
+    if (point != "thread_pool.commit_deferred") return;
+    entered.store(true);
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (!destroyed.load() && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::atomic<bool> ran{false};
+  group->ReserveDeferred();
+  ThreadPool::TaskGroup* target = group.get();
+  std::thread committer(
+      [target, &ran] { target->CommitDeferred([&ran] { ran.store(true); }); });
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (!entered.load() && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(entered.load()) << "the commit never reached its checkpoint";
+  // The task is queued and nothing has been notified: Wait finds it ready
+  // and runs it itself, then the group is destroyed.
+  group->Wait();
+  EXPECT_TRUE(ran.load());
+  group.reset();
+  destroyed.store(true);
+  committer.join();
+
+  // The pool is intact and keeps scheduling.
+  ThreadPool::TaskGroup after(pool);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 8; ++i) after.Submit([&done] { done.fetch_add(1); });
+  after.Wait();
+  EXPECT_EQ(done.load(), 8);
 }
 
 TEST(TaskGroup, InlineModeCommitsDeferredTasksImmediately) {
