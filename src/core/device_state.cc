@@ -78,8 +78,17 @@ std::vector<int> DeviceState::NonEmptyRows() const {
   return rows;
 }
 
+// The row predicates below take a fast path when a row is one word (k <= 64,
+// every system of the paper): a row is then empty iff its word is zero, and
+// a straight loop over the words replaces the per-row span walk. Lowering
+// and synthesis replay collectives through them millions of times.
+
 int DeviceState::NumNonEmptyRows() const {
   int n = 0;
+  if (words_per_row_ == 1) {
+    for (const std::uint64_t w : bits_) n += w != 0 ? 1 : 0;
+    return n;
+  }
   for (int r = 0; r < k_; ++r) {
     if (!RowEmpty(r)) ++n;
   }
@@ -95,6 +104,12 @@ bool DeviceState::IsEmpty() const {
 
 bool DeviceState::SameNonEmptyRows(const DeviceState& other) const {
   if (k_ != other.k_) return false;
+  if (words_per_row_ == 1) {
+    for (std::size_t r = 0; r < bits_.size(); ++r) {
+      if ((bits_[r] == 0) != (other.bits_[r] == 0)) return false;
+    }
+    return true;
+  }
   for (int r = 0; r < k_; ++r) {
     if (RowEmpty(r) != other.RowEmpty(r)) return false;
   }
@@ -103,6 +118,12 @@ bool DeviceState::SameNonEmptyRows(const DeviceState& other) const {
 
 bool DeviceState::NonEmptyRowSetsDisjoint(const DeviceState& other) const {
   if (k_ != other.k_) return false;
+  if (words_per_row_ == 1) {
+    for (std::size_t r = 0; r < bits_.size(); ++r) {
+      if (bits_[r] != 0 && other.bits_[r] != 0) return false;
+    }
+    return true;
+  }
   for (int r = 0; r < k_; ++r) {
     if (!RowEmpty(r) && !other.RowEmpty(r)) return false;
   }

@@ -3,6 +3,17 @@
 // concrete global-device groups (the synthesis grouping pattern applied once
 // per assignment of the non-reduction axes' coordinates), annotated with the
 // per-device data volume entering and leaving the step.
+//
+// Lowering splits in two. LowerInstruction does everything that depends only
+// on the synthesis problem and the program prefix: it derives the
+// instruction's synthesis-device groups, replays the instruction on the
+// synthesis devices' states and reads off the in/out fractions.
+// ReplicateStep then maps those groups onto one placement's global devices.
+// LowerProgram chains the two per instruction; core/program_trie.h runs the
+// first half once per distinct program prefix of a whole program list and
+// shares it between every placement with the same synthesis hierarchy
+// signature. LowerProgram stays the per-program oracle the trie is tested
+// against.
 #ifndef P2_CORE_LOWERING_H_
 #define P2_CORE_LOWERING_H_
 
@@ -11,6 +22,8 @@
 #include <vector>
 
 #include "core/collective.h"
+#include "core/collective_semantics.h"
+#include "core/device_state.h"
 #include "core/reduction_dsl.h"
 #include "core/synthesis_hierarchy.h"
 
@@ -32,9 +45,36 @@ struct LoweredStep {
   double in_fraction = 1.0;
   double out_fraction = 1.0;
 
-  /// Rebuilds `sorted_orders` from `groups`.
+  /// Rebuilds `sorted_orders` from `groups`, reusing its storage.
   void ComputeSortedOrders();
 };
+
+/// One instruction lowered onto the synthesis hierarchy: the same fields as
+/// a LoweredStep, but its groups hold synthesis-device ids and are not yet
+/// replicated over the non-reduction coordinates.
+struct SynthesisStep {
+  Collective op = Collective::kAllReduce;
+  /// The instruction's non-trivial (two or more member) groups.
+  std::vector<std::vector<std::int64_t>> groups;
+  double in_fraction = 1.0;
+  double out_fraction = 1.0;
+};
+
+/// Lowers `instr` at the synthesis-device state `context` and applies it
+/// there, appending the pre-images of the devices it changed to `undo` (so
+/// a caller can revert the instruction with undo.RevertInto). Throws
+/// std::invalid_argument, leaving `context` unchanged, when the instruction
+/// derives no non-trivial groups or is semantically invalid at `context`.
+SynthesisStep LowerInstruction(const SynthesisHierarchy& sh,
+                               const Instruction& instr,
+                               StateContext& context, ApplyUndo& undo);
+
+/// Writes into `out` the global step of `step` on `sh`: the synthesis groups
+/// mapped onto every replica's devices (replica-major), with sorted orders.
+/// Reuses `out`'s storage, so a caller replicating many steps through one
+/// scratch LoweredStep allocates little.
+void ReplicateStep(const SynthesisHierarchy& sh, const SynthesisStep& step,
+                   LoweredStep& out);
 
 struct LoweredProgram {
   Program source;                  ///< the DSL program this was lowered from

@@ -62,6 +62,11 @@ class SynthesisHierarchy {
 
   /// Global device implementing synthesis device `synth` in copy `replica`.
   std::int64_t GlobalDevice(std::int64_t synth, std::int64_t replica) const;
+  /// The global devices of copy `replica`, indexed by synthesis device: one
+  /// bounds check for the whole copy, for loops that map many groups.
+  std::span<const std::int64_t> ReplicaDevices(std::int64_t replica) const {
+    return device_map_.at(static_cast<std::size_t>(replica));
+  }
 
   /// Goal partition of the synthesis devices (synth indices). For
   /// kReductionAxes this is a single group of all synthesis devices.

@@ -98,7 +98,8 @@ struct PipelineStats {
   /// interleave on the pool, so this is task time, not a stage's span.
   double synthesis_seconds = 0.0;
   /// Lower/predict/measure time: the summed wall-clock of the per-placement
-  /// evaluation tasks.
+  /// evaluation tasks plus that of building each signature group's program
+  /// trie (core/program_trie.h).
   double evaluation_seconds = 0.0;
   double total_seconds = 0.0;
   int threads = 1;
@@ -183,13 +184,21 @@ class Engine {
   /// algo, through the engine's step-cost memo (engine/step_memo.h): each
   /// distinct lowered step is evaluated once, and the totals are
   /// bit-identical to cost_model().PredictProgram and
-  /// executor().MeasureProgram. Thread-safe; every prediction and
-  /// measurement the pipeline makes goes through these.
+  /// executor().MeasureProgram. Thread-safe.
   double PredictProgram(const core::LoweredProgram& program) const {
     return step_memo_.PredictProgram(program);
   }
   double MeasureProgram(const core::LoweredProgram& program) const {
     return step_memo_.MeasureProgram(program);
+  }
+  /// One step's costs through the memo in one lookup (StepCostMemo::Costs).
+  /// Every prediction and measurement the pipeline makes goes through it:
+  /// it costs each distinct step of a placement this way and sums programs
+  /// itself, in the order PredictProgram / MeasureProgram would.
+  StepCostMemo::StepCosts StepCosts(const core::LoweredStep& step,
+                                    bool predict, bool measure,
+                                    StepCostMemo::Key& key) const {
+    return step_memo_.Costs(step, predict, measure, key);
   }
   /// The memo itself, for tests (its computed() count).
   const StepCostMemo& step_memo() const { return step_memo_; }

@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -28,23 +33,13 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The shared per-program evaluation, taking an already-lowered program so
-// callers holding a lowering (the guided path keeps them for measurement)
-// never lower twice.
-ProgramEvaluation EvaluateLowered(const Engine& engine,
-                                  const core::SynthesisHierarchy& sh,
-                                  const core::Program& program,
-                                  const core::LoweredProgram& lowered,
-                                  bool measure) {
+// A program's evaluation before costing.
+ProgramEvaluation Describe(const core::SynthesisHierarchy& sh,
+                           const core::Program& program) {
   ProgramEvaluation eval;
   eval.program = program;
   eval.text = core::ToString(program, sh.level_names());
   eval.num_steps = static_cast<int>(program.size());
-  eval.predicted_seconds = engine.PredictProgram(lowered);
-  if (measure) {
-    eval.measured_seconds = engine.MeasureProgram(lowered);
-    eval.measured = true;
-  }
   return eval;
 }
 
@@ -54,8 +49,19 @@ ProgramEvaluation EvaluateProgramOnEngine(const Engine& engine,
                                           const core::SynthesisHierarchy& sh,
                                           const core::Program& program,
                                           bool measure) {
-  return EvaluateLowered(engine, sh, program, core::LowerProgram(sh, program),
-                         measure);
+  ProgramEvaluation eval = Describe(sh, program);
+  const core::LoweredProgram lowered = core::LowerProgram(sh, program);
+  // One memo lookup per step for both costs, summed from 0.0 in program
+  // order like Engine::PredictProgram / MeasureProgram.
+  StepCostMemo::Key key;
+  for (const core::LoweredStep& step : lowered.steps) {
+    const StepCostMemo::StepCosts costs =
+        engine.StepCosts(step, /*predict=*/true, measure, key);
+    eval.predicted_seconds += costs.predicted;
+    eval.measured_seconds += costs.measured;
+  }
+  eval.measured = measure;
+  return eval;
 }
 
 Pipeline::Pipeline(PlannerService& service, const Engine& engine,
@@ -64,7 +70,8 @@ Pipeline::Pipeline(PlannerService& service, const Engine& engine,
 
 PlacementEvaluation Pipeline::Evaluate(
     const core::ParallelismMatrix& matrix, const core::SynthesisHierarchy& sh,
-    const core::SynthesisResult& synthesis) const {
+    const core::SynthesisResult& synthesis,
+    const core::ProgramTrie& trie) const {
   const bool guided = options_.measure_top_k >= 0;
   const bool measure_all = !guided && engine_.options().measure;
 
@@ -73,39 +80,105 @@ PlacementEvaluation Pipeline::Evaluate(
   eval.synthesis_seconds = synthesis.stats.seconds;
   eval.synthesis_stats = synthesis.stats;
 
-  // Every program is lowered exactly once: the lowering backs the dedup
-  // check, the prediction, and — kept in `lowered` under guided evaluation —
-  // the top-k measurement pass, which used to re-lower its candidates.
-  std::vector<core::LoweredProgram> lowered;
-  lowered.reserve(synthesis.programs.size() + 1);
+  // Replicate each distinct step of the trie onto this placement once and
+  // cost it in one memo lookup. Measurements wait until a program needs
+  // them under guided evaluation.
+  constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<core::SynthesisStep>& steps = trie.steps();
+  const std::vector<core::ProgramTrie::Node>& nodes = trie.nodes();
+  core::LoweredStep lowered;  // scratch for every replication
+  StepCostMemo::Key key;
+  std::vector<double> step_predicted(steps.size());
+  std::vector<double> step_measured(steps.size(), kUnknown);
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    core::ReplicateStep(sh, steps[s], lowered);
+    const StepCostMemo::StepCosts costs =
+        engine_.StepCosts(lowered, /*predict=*/true, measure_all, key);
+    step_predicted[s] = costs.predicted;
+    if (measure_all) step_measured[s] = costs.measured;
+  }
 
-  // The default AllReduce always comes first; the synthesizer also finds it,
-  // so drop the duplicate from the synthesized list.
-  const core::Program default_ar = DefaultAllReduceProgram();
-  lowered.push_back(core::LowerProgram(sh, default_ar));
-  eval.programs.push_back(EvaluateLowered(engine_, sh, default_ar,
-                                          lowered.front(), measure_all));
-  eval.programs.front().is_default_allreduce = true;
-
-  for (const core::Program& p : synthesis.programs) {
-    auto lowered_p = core::LowerProgram(sh, p);
-    // lowered.front() is re-fetched per iteration: the vector grows inside
-    // this loop, so a reference held across iterations could dangle.
-    if (lowered_p.steps.size() == 1 &&
-        lowered_p.steps[0].op == core::Collective::kAllReduce &&
-        lowered_p.steps[0].groups == lowered.front().steps[0].groups) {
-      // A one-step program with the same lowered groups *is* the default.
-      continue;
+  // A node's cost is its parent's plus its step's, from 0.0 at the root:
+  // the same additions in the same order as CostModel::PredictProgram and
+  // Executor::MeasureProgram make over LowerProgram's steps, so every
+  // program total is bit-identical to theirs.
+  std::vector<double> predicted(nodes.size(), 0.0);
+  std::vector<double> measured(nodes.size(), kUnknown);
+  measured[0] = 0.0;
+  for (std::size_t n = 1; n < nodes.size(); ++n) {
+    const auto parent = static_cast<std::size_t>(nodes[n].parent);
+    const auto step = static_cast<std::size_t>(nodes[n].step);
+    predicted[n] = predicted[parent] + step_predicted[step];
+    if (measure_all) measured[n] = measured[parent] + step_measured[step];
+  }
+  // The measured seconds of the prefix ending at `node`, measuring the
+  // steps of its chain that nothing measured yet.
+  std::vector<std::int32_t> chain;
+  const auto measured_at = [&](std::int32_t node) {
+    chain.clear();
+    for (std::int32_t n = node;
+         std::isnan(measured[static_cast<std::size_t>(n)]);
+         n = nodes[static_cast<std::size_t>(n)].parent) {
+      chain.push_back(n);
     }
-    eval.programs.push_back(
-        EvaluateLowered(engine_, sh, p, lowered_p, measure_all));
-    lowered.push_back(std::move(lowered_p));
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const core::ProgramTrie::Node& at = nodes[static_cast<std::size_t>(*it)];
+      const auto step = static_cast<std::size_t>(at.step);
+      if (std::isnan(step_measured[step])) {
+        core::ReplicateStep(sh, steps[step], lowered);
+        step_measured[step] =
+            engine_.StepCosts(lowered, /*predict=*/false, /*measure=*/true, key)
+                .measured;
+      }
+      measured[static_cast<std::size_t>(*it)] =
+          measured[static_cast<std::size_t>(at.parent)] + step_measured[step];
+    }
+    return measured[static_cast<std::size_t>(node)];
+  };
+
+  // eval.programs[j] is the program ending at trie node terminal_of[j].
+  std::vector<std::int32_t> terminal_of;
+  terminal_of.reserve(trie.num_programs());
+  const auto add = [&](const core::Program& program, std::int32_t terminal) {
+    ProgramEvaluation& p = eval.programs.emplace_back(Describe(sh, program));
+    p.predicted_seconds = predicted[static_cast<std::size_t>(terminal)];
+    if (measure_all) {
+      p.measured_seconds = measured[static_cast<std::size_t>(terminal)];
+      p.measured = true;
+    }
+    terminal_of.push_back(terminal);
+  };
+  eval.programs.reserve(trie.num_programs());
+  // The default AllReduce (trie program 0) always comes first; the
+  // synthesizer also finds it, so drop the duplicate from the synthesized
+  // list.
+  add(DefaultAllReduceProgram(), trie.terminal(0));
+  eval.programs.front().is_default_allreduce = true;
+  const core::ProgramTrie::Node& default_node =
+      nodes[static_cast<std::size_t>(trie.terminal(0))];
+  const auto& default_groups =
+      steps[static_cast<std::size_t>(default_node.step)].groups;
+  for (std::size_t i = 0; i < synthesis.programs.size(); ++i) {
+    const std::int32_t terminal = trie.terminal(i + 1);
+    const core::ProgramTrie::Node& node =
+        nodes[static_cast<std::size_t>(terminal)];
+    // A one-step AllReduce with the same lowered groups *is* the default.
+    // Replica 0 maps synthesis devices one to one, so equal lowered groups
+    // are equal synthesis groups.
+    if (node.parent == 0) {
+      const core::SynthesisStep& step =
+          steps[static_cast<std::size_t>(node.step)];
+      if (step.op == core::Collective::kAllReduce &&
+          step.groups == default_groups) {
+        continue;
+      }
+    }
+    add(synthesis.programs[i], terminal);
   }
 
   if (guided) {
     // Measure the default AllReduce and the top-k by prediction (stable on
-    // prediction ties, so the measured set is deterministic), reusing the
-    // lowerings from the predict pass above.
+    // prediction ties, so the measured set is deterministic).
     std::vector<int> order(eval.programs.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
       order[i] = static_cast<int>(i);
@@ -118,7 +191,7 @@ PlacementEvaluation Pipeline::Evaluate(
       auto& p = eval.programs[static_cast<std::size_t>(index)];
       if (p.measured) return;
       p.measured_seconds =
-          engine_.MeasureProgram(lowered[static_cast<std::size_t>(index)]);
+          measured_at(terminal_of[static_cast<std::size_t>(index)]);
       p.measured = true;
     };
     measure(0);  // the baseline is always measured
@@ -246,6 +319,9 @@ ExperimentResult Pipeline::Run(
     SynthesisCache::DeferredLookup deferred;
   };
   std::vector<GroupState> group_states(members_of.size());
+  // Each group's lowered program list and the time building it took.
+  std::vector<std::optional<core::ProgramTrie>> tries(members_of.size());
+  std::vector<double> trie_seconds(members_of.size(), 0.0);
   std::atomic<std::int64_t> deferred_events{0};
 
   // One FireState per deferral: whoever wins the fire-once CAS commits the
@@ -331,16 +407,28 @@ ExperimentResult Pipeline::Run(
                                               &outcomes[i], options_.tenant)
                          : std::move(looked.result);
     }
-    // All members resolved: fan this group's evaluations into the same
-    // TaskGroup (submitting without waiting from inside a task is
-    // supported).
+    // All members resolved. They share one program list (one BaseKey plus
+    // one cap is one list), so the group lowers it once on the synthesis
+    // hierarchy, behind the default AllReduce every placement evaluates
+    // first.
+    const auto trie_start = std::chrono::steady_clock::now();
+    const std::size_t first = members.front();
+    const core::Program default_ar = DefaultAllReduceProgram();
+    tries[g].emplace(
+        hierarchies[first],
+        std::initializer_list<std::span<const core::Program>>{
+            std::span(&default_ar, 1), synthesis[first]->programs});
+    trie_seconds[g] = SecondsSince(trie_start);
+    // Fan the group's evaluations into the same TaskGroup (submitting
+    // without waiting from inside a task is supported); they share the trie
+    // read-only.
     for (const std::size_t i : members) {
-      group.Submit([&, i] {
+      group.Submit([&, i, g] {
         MaybeInjectFault("pipeline.evaluate");
         options_.cancel.ThrowIfCancelled();
         const auto eval_start = std::chrono::steady_clock::now();
         result.placements[i] =
-            Evaluate(placements[i], hierarchies[i], *synthesis[i]);
+            Evaluate(placements[i], hierarchies[i], *synthesis[i], *tries[g]);
         eval_seconds[i] = SecondsSince(eval_start);
       });
     }
@@ -396,6 +484,9 @@ ExperimentResult Pipeline::Run(
       result.pipeline.synthesis_seconds += synthesis[i]->stats.seconds;
     }
     result.pipeline.evaluation_seconds += eval_seconds[i];
+  }
+  for (const double seconds : trie_seconds) {
+    result.pipeline.evaluation_seconds += seconds;
   }
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache

@@ -4,9 +4,13 @@
 //   enumerate placements -> dedup by synthesis-hierarchy signature
 //     -> synthesize once per signature (memoized in the service's shared
 //        SynthesisCache, with cross-request in-flight dedup)
-//     -> lower / predict / (guided-)measure every placement, in parallel
-//        (step costs through the Engine's step-cost memo, so each distinct
-//        lowered step is predicted and measured once per Engine)
+//     -> lower the group's program list once, into a prefix trie on the
+//        synthesis hierarchy (core/program_trie.h)
+//     -> per placement, in parallel: replicate the trie's distinct steps
+//        onto its devices, cost them through the Engine's step-cost memo
+//        (each distinct lowered step is predicted and measured once per
+//        Engine), and sum programs as prefix sums down the trie;
+//        guided requests measure only the chains they need
 //     -> merge in placement order
 //
 // A Pipeline is stateless: it borrows the process-wide cache and worker
@@ -14,8 +18,9 @@
 // number of pipelines (one per in-flight request) share synthesis results
 // and threads. One work loop runs every query: a resolve task per
 // signature group on a ThreadPool::TaskGroup of the shared pool, which
-// fans out one evaluation task per placement once its group's synthesis
-// is in hand — concurrent requests' tasks interleave fairly. Results are
+// builds the group's trie and fans out one evaluation task per placement
+// once its group's synthesis is in hand; those tasks share the trie
+// read-only. Concurrent requests' tasks interleave fairly. Results are
 // written into preallocated slots and merged in enumeration order, which
 // makes the parallel output byte-identical to the serial path (modulo
 // wall-clock timing fields).
@@ -26,6 +31,7 @@
 #include <span>
 
 #include "common/cancel.h"
+#include "core/program_trie.h"
 #include "engine/engine.h"
 #include "engine/synthesis_cache.h"
 
@@ -95,18 +101,22 @@ class Pipeline {
                        std::span<const int> reduction_axes);
 
  private:
+  /// Evaluates one placement. `trie` is its signature group's program
+  /// list — the default AllReduce, then `synthesis.programs` — lowered on
+  /// the synthesis hierarchy; this replicates and costs its distinct steps
+  /// on `sh`.
   PlacementEvaluation Evaluate(const core::ParallelismMatrix& matrix,
                                const core::SynthesisHierarchy& sh,
-                               const core::SynthesisResult& synthesis) const;
+                               const core::SynthesisResult& synthesis,
+                               const core::ProgramTrie& trie) const;
 
   PlannerService& service_;
   const Engine& engine_;
   PipelineOptions options_;
 };
 
-/// Lowers, predicts and optionally measures one program through the engine's
-/// memoized Engine::PredictProgram / MeasureProgram (the shared per-program
-/// evaluation of every pipeline stage and of Engine::EvaluateProgram).
+/// Lowers, predicts and optionally measures one program through the
+/// engine's step-cost memo, one lookup per step (Engine::EvaluateProgram).
 ProgramEvaluation EvaluateProgramOnEngine(const Engine& engine,
                                           const core::SynthesisHierarchy& sh,
                                           const core::Program& program,

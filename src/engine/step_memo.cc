@@ -51,12 +51,17 @@ double StepCostMemo::ProgramCost(const core::LoweredProgram& program,
                                  Kind kind) {
   Key key;  // one encoding buffer for the whole program
   double total = 0.0;
-  for (const auto& step : program.steps) total += StepCost(step, kind, key);
+  for (const auto& step : program.steps) {
+    const StepCosts costs =
+        Costs(step, kind == kPredicted, kind == kMeasured, key);
+    total += kind == kPredicted ? costs.predicted : costs.measured;
+  }
   return total;
 }
 
-double StepCostMemo::StepCost(const core::LoweredStep& step, Kind kind,
-                              Key& key) {
+StepCostMemo::StepCosts StepCostMemo::Costs(const core::LoweredStep& step,
+                                            bool predict, bool measure,
+                                            Key& key) {
   std::size_t words = 5 + step.groups.size();
   for (const auto& group : step.groups) words += group.size();
   key.resize(words);
@@ -83,34 +88,46 @@ double StepCostMemo::StepCost(const core::LoweredStep& step, Kind kind,
       Mix(lanes[0] ^ Mix(lanes[1] ^ Mix(lanes[2] ^ Mix(lanes[3]))));
   key[0] = hash;
 
+  const std::array<bool, 2> wanted = {predict, measure};
+  Entry found;
   Shard& shard = shards_[(hash >> 32) % kShards];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.costs.find(key);
-    if (it != shard.costs.end() && it->second.known[kind]) {
-      return it->second.seconds[kind];
+    if (it != shard.costs.end()) found = it->second;
+  }
+  // Computed outside the lock: a racing worker computes the same doubles,
+  // and whichever inserts first wins.
+  Entry computed;
+  for (const Kind kind : {kPredicted, kMeasured}) {
+    if (!wanted[kind] || found.known[kind]) continue;
+    computed.seconds[kind] =
+        kind == kPredicted
+            ? model_.PredictStep(step, payload_bytes_, algo_)
+            : executor_.MeasureStep(step, payload_bytes_, algo_);
+    computed.known[kind] = true;
+    computed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (computed.known[kPredicted] || computed.known[kMeasured]) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.costs.find(key);
+    if (it == shard.costs.end()) {
+      if (shard.costs.size() >= kShardCapacity) shard.costs.clear();
+      it = shard.costs.emplace(key, Entry{}).first;
+    }
+    for (const Kind kind : {kPredicted, kMeasured}) {
+      if (!computed.known[kind]) continue;
+      if (!it->second.known[kind]) {
+        it->second.seconds[kind] = computed.seconds[kind];
+        it->second.known[kind] = true;
+      }
+      found.seconds[kind] = it->second.seconds[kind];
     }
   }
-  // Computed outside the lock: a racing worker computes the same double,
-  // and whichever inserts first wins.
-  const double seconds =
-      kind == kPredicted
-          ? model_.PredictStep(step, payload_bytes_, algo_)
-          : executor_.MeasureStep(step, payload_bytes_, algo_);
-  computed_.fetch_add(1, std::memory_order_relaxed);
-
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.costs.find(key);
-  if (it == shard.costs.end()) {
-    if (shard.costs.size() >= kShardCapacity) shard.costs.clear();
-    it = shard.costs.emplace(key, Costs{}).first;
-  }
-  Costs& costs = it->second;
-  if (!costs.known[kind]) {
-    costs.seconds[kind] = seconds;
-    costs.known[kind] = true;
-  }
-  return costs.seconds[kind];
+  StepCosts out;
+  if (predict) out.predicted = found.seconds[kPredicted];
+  if (measure) out.measured = found.seconds[kMeasured];
+  return out;
 }
 
 }  // namespace p2::engine

@@ -5,14 +5,16 @@
 //
 // A program's predicted and measured seconds are plain sums of per-step
 // costs in program order (CostModel::PredictProgram,
-// Executor::MeasureProgram). The memo returns each step's exact double and
-// sums the same way, from 0.0 in program order, so its program totals are
-// bit-identical to the uncached ones. The key is the lowered step itself:
-// the op, the bit patterns of the in/out fractions, and the device groups
-// in order (a group's first member is the Reduce/Broadcast root, and group
-// order feeds the flow simulator's floating-point sums). Payload and algo
-// are per-engine constants and stay out of the key. Lookups compare the
-// full key, so a hash collision can never change an answer.
+// Executor::MeasureProgram). The memo returns each step's exact double, and
+// its program totals sum the same way, from 0.0 in program order, so they
+// are bit-identical to the uncached ones. Costs() returns a step's
+// prediction and measurement from one lookup, for callers (the pipeline)
+// that want both or sum programs themselves. The key is the lowered step
+// itself: the op, the bit patterns of the in/out fractions, and the device
+// groups in order (a group's first member is the Reduce/Broadcast root, and
+// group order feeds the flow simulator's floating-point sums). Payload and
+// algo are per-engine constants and stay out of the key. Lookups compare
+// the full key, so a hash collision can never change an answer.
 //
 // The CostModel and the Executor themselves stay uncached: they are the
 // independent oracle the tests and perfbench's answer checks re-derive
@@ -59,6 +61,22 @@ class StepCostMemo {
   /// Bit-identical to executor.MeasureProgram(program, payload_bytes, algo).
   double MeasureProgram(const core::LoweredProgram& program);
 
+  /// A step's predicted and measured seconds; a cost not asked for is 0.
+  struct StepCosts {
+    double predicted = 0.0;
+    double measured = 0.0;
+  };
+  /// The encoded step: the key's hash, then op, fraction bits and the
+  /// groups (size, members...) in order. Callers pass one buffer per run of
+  /// lookups so that encoding does not allocate per step.
+  using Key = std::vector<std::uint64_t>;
+  /// One memo lookup for `step` that returns whichever of its costs are
+  /// asked for, computing (and counting in computed()) only those the memo
+  /// lacks. Each cost is bit-identical to model.PredictStep /
+  /// executor.MeasureStep at the engine's payload and algo.
+  StepCosts Costs(const core::LoweredStep& step, bool predict, bool measure,
+                  Key& key);
+
   /// Step costs computed so far (memo misses, predictions and measurements
   /// together). For tests: a repeated pass over the same programs adds 0.
   std::int64_t computed() const {
@@ -70,25 +88,21 @@ class StepCostMemo {
  private:
   enum Kind : int { kPredicted = 0, kMeasured = 1 };
 
-  /// The encoded step: the key's hash, then op, fraction bits and the
-  /// groups (size, members...) in order.
-  using Key = std::vector<std::uint64_t>;
   struct KeyHash {
     std::size_t operator()(const Key& key) const {
       return static_cast<std::size_t>(key[0]);
     }
   };
-  struct Costs {
+  struct Entry {
     std::array<double, 2> seconds{};
     std::array<bool, 2> known{};
   };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<Key, Costs, KeyHash> costs;  // guarded by mu
+    std::unordered_map<Key, Entry, KeyHash> costs;  // guarded by mu
   };
 
   double ProgramCost(const core::LoweredProgram& program, Kind kind);
-  double StepCost(const core::LoweredStep& step, Kind kind, Key& key);
 
   const cost::CostModel& model_;
   const runtime::Executor& executor_;
