@@ -317,11 +317,12 @@ ExperimentResult Pipeline::Run(
   struct GroupState {
     std::size_t next_member = 0;  ///< members resolved so far
     SynthesisCache::DeferredLookup deferred;
+    /// The group's lowered program list, built once every member is
+    /// resolved, and the time building it took.
+    std::optional<core::ProgramTrie> trie;
+    double trie_seconds = 0.0;
   };
   std::vector<GroupState> group_states(members_of.size());
-  // Each group's lowered program list and the time building it took.
-  std::vector<std::optional<core::ProgramTrie>> tries(members_of.size());
-  std::vector<double> trie_seconds(members_of.size(), 0.0);
   std::atomic<std::int64_t> deferred_events{0};
 
   // One FireState per deferral: whoever wins the fire-once CAS commits the
@@ -414,21 +415,21 @@ ExperimentResult Pipeline::Run(
     const auto trie_start = std::chrono::steady_clock::now();
     const std::size_t first = members.front();
     const core::Program default_ar = DefaultAllReduceProgram();
-    tries[g].emplace(
+    state.trie.emplace(
         hierarchies[first],
         std::initializer_list<std::span<const core::Program>>{
             std::span(&default_ar, 1), synthesis[first]->programs});
-    trie_seconds[g] = SecondsSince(trie_start);
+    state.trie_seconds = SecondsSince(trie_start);
     // Fan the group's evaluations into the same TaskGroup (submitting
     // without waiting from inside a task is supported); they share the trie
     // read-only.
     for (const std::size_t i : members) {
-      group.Submit([&, i, g] {
+      group.Submit([&, i, &trie = *state.trie] {
         MaybeInjectFault("pipeline.evaluate");
         options_.cancel.ThrowIfCancelled();
         const auto eval_start = std::chrono::steady_clock::now();
         result.placements[i] =
-            Evaluate(placements[i], hierarchies[i], *synthesis[i], *tries[g]);
+            Evaluate(placements[i], hierarchies[i], *synthesis[i], trie);
         eval_seconds[i] = SecondsSince(eval_start);
       });
     }
@@ -485,8 +486,8 @@ ExperimentResult Pipeline::Run(
     }
     result.pipeline.evaluation_seconds += eval_seconds[i];
   }
-  for (const double seconds : trie_seconds) {
-    result.pipeline.evaluation_seconds += seconds;
+  for (const GroupState& state : group_states) {
+    result.pipeline.evaluation_seconds += state.trie_seconds;
   }
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache
