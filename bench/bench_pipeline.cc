@@ -4,8 +4,9 @@
 // running through a PlannerService (ISSUE 4) — the process-wide owner of the
 // shared synthesis cache, worker pool and persistent store:
 //
-//   serial        — per-placement re-synthesis, one thread (the seed's
-//                   Engine::RunExperiment monolith)
+//   serial        — per-placement re-synthesis, one thread:
+//                   Engine::EvaluatePlacement on every placement, no
+//                   signature cache
 //   cached        — synthesize once per hierarchy signature, one thread
 //   cached+par    — signature cache plus a shared worker pool
 //   warm(disk)    — second planner process (ISSUE 3): the whole grid served
@@ -144,9 +145,38 @@ void Accumulate(const ExperimentResult& result, VariantResult* v) {
   v->synth_seconds += result.pipeline.synthesis_seconds;
 }
 
+// The serial reference: every placement synthesized afresh and evaluated on
+// its own through Engine::EvaluatePlacement, one at a time — no signature
+// cache and no pool. Each config's placements are assembled into the same
+// ExperimentResult a pipeline run returns.
+VariantResult RunSerial(const Engine& engine,
+                        const std::vector<GridConfig>& grid,
+                        std::vector<ExperimentResult>* results) {
+  VariantResult v;
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& cfg : grid) {
+    ExperimentResult result;
+    result.axes = cfg.axes;
+    result.reduction_axes = cfg.reduction_axes;
+    result.algo = engine.options().algo;
+    result.payload_bytes = engine.payload_bytes();
+    for (const auto& matrix : engine.SynthesizePlacements(cfg.axes)) {
+      result.placements.push_back(
+          engine.EvaluatePlacement(matrix, cfg.reduction_axes));
+      ++v.placements;
+      ++v.unique;  // every placement is its own synthesis
+      v.synth_seconds += result.placements.back().synthesis_seconds;
+    }
+    results->push_back(std::move(result));
+  }
+  v.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return v;
+}
+
 VariantResult RunGrid(const Engine& engine,
                       const PlannerServiceOptions& options,
-                      bool cache_synthesis,
                       const std::vector<GridConfig>& grid,
                       std::vector<ExperimentResult>* results) {
   VariantResult v;
@@ -159,7 +189,6 @@ VariantResult RunGrid(const Engine& engine,
     PlanRequest request;
     request.axes = cfg.axes;
     request.reduction_axes = cfg.reduction_axes;
-    request.cache_synthesis = cache_synthesis;
     ExperimentResult result = service.Plan(std::move(request));
     Accumulate(result, &v);
     if (results != nullptr) results->push_back(std::move(result));
@@ -443,8 +472,7 @@ int main(int argc, char** argv) {
       grid.size(), engine.cluster().ToString().c_str());
 
   std::vector<ExperimentResult> serial_results;
-  const auto serial = RunGrid(fresh_engine(), PlannerServiceOptions{},
-                              /*cache_synthesis=*/false, grid, &serial_results);
+  const auto serial = RunSerial(fresh_engine(), grid, &serial_results);
 
   // The cached variant doubles as the warm variant's seeder: its service
   // persists the grid's synthesis results on exit (load and save both sit
@@ -457,21 +485,20 @@ int main(int argc, char** argv) {
   cached_options.cache_file = cache_path;
   std::vector<ExperimentResult> cached_results;
   const auto cached =
-      RunGrid(fresh_engine(), cached_options, /*cache_synthesis=*/true, grid,
-              &cached_results);
+      RunGrid(fresh_engine(), cached_options, grid, &cached_results);
 
   std::vector<ExperimentResult> parallel_results;
   const auto parallel =
-      RunGrid(fresh_engine(), PlannerServiceOptions{.threads = threads},
-              /*cache_synthesis=*/true, grid, &parallel_results);
+      RunGrid(fresh_engine(), PlannerServiceOptions{.threads = threads}, grid,
+              &parallel_results);
 
   // Warm-from-disk: a fresh service (standing in for a second planner
   // process) replays the grid from the file the cached variant persisted.
   PlannerServiceOptions warm_options = cached_options;
   warm_options.cache_readonly = true;
   std::vector<ExperimentResult> warm_results;
-  const auto warm = RunGrid(fresh_engine(), warm_options,
-                            /*cache_synthesis=*/true, grid, &warm_results);
+  const auto warm =
+      RunGrid(fresh_engine(), warm_options, grid, &warm_results);
   std::filesystem::remove(cache_path);
 
   // ISSUE 4 acceptance setup: N overlapping queries on one shared service

@@ -13,14 +13,14 @@ namespace {
 
 // The single-placement entry points run the pipeline's loop on a list of
 // one, through a throwaway single-query service: they predate the
-// long-lived PlannerService and keep their one-shot, cacheless semantics.
+// long-lived PlannerService, and the service's cache starts empty, so every
+// call synthesizes afresh.
 PlacementEvaluation EvaluateOnePlacement(const Engine& engine,
                                          const core::ParallelismMatrix& matrix,
                                          std::span<const int> reduction_axes,
                                          int measure_top_k) {
   PlannerService service(engine);
   PipelineOptions options;
-  options.cache_synthesis = false;
   options.measure_top_k = measure_top_k;
   Pipeline pipeline(service, engine, options);
   return std::move(

@@ -85,17 +85,16 @@ struct PipelineStats {
   std::int64_t synth_states_visited = 0;
   std::int64_t synth_states_deduped = 0;
   std::int64_t synth_branches_pruned = 0;
-  /// Guided-evaluation measurements skipped by early stopping: candidates
-  /// within the top-k whose prediction already exceeded the incumbent's
-  /// measurement by more than the model's observed overprediction bound
-  /// (sum of PlacementEvaluation::guided_skipped; deterministic).
+  /// Always 0: guided evaluation measures exactly the predicted top-k and
+  /// skips nothing. Kept only because perfbench (perfbench/src/checks.cc)
+  /// still reads it.
   std::int64_t guided_skipped = 0;
   double synthesis_seconds_saved = 0.0;  ///< re-synthesis avoided by the cache
   double disk_seconds_saved = 0.0;       ///< portion saved across runs (disk)
   /// Time actually spent synthesizing: the summed wall-clock of the
-  /// synthesis runs this request performed itself (its cache misses, or
-  /// every placement when cacheless). Synthesis and evaluation tasks
-  /// interleave on the pool, so this is task time, not a stage's span.
+  /// synthesis runs this request performed itself (its cache misses).
+  /// Synthesis and evaluation tasks interleave on the pool, so this is task
+  /// time, not a stage's span.
   double synthesis_seconds = 0.0;
   /// Lower/predict/measure time: the summed wall-clock of the per-placement
   /// evaluation tasks plus that of building each signature group's program
@@ -127,12 +126,6 @@ struct PlacementEvaluation {
   /// ExperimentResult::pipeline.synthesis_seconds.
   double synthesis_seconds = 0.0;
   core::SynthesisStats synthesis_stats;
-  /// Top-k candidates guided evaluation left unmeasured because their
-  /// prediction put them provably behind the incumbent's measurement under
-  /// the model's observed overprediction bound (engine/pipeline.cc). A pure
-  /// function of the deterministic predictions and measurements — identical
-  /// at any thread count and cache state. Always 0 outside guided mode.
-  int guided_skipped = 0;
   std::vector<ProgramEvaluation> programs;  ///< [0] is the default AllReduce
 
   const ProgramEvaluation& DefaultAllReduce() const { return programs.front(); }
@@ -216,9 +209,10 @@ class Engine {
                                         std::span<const int> reduction_axes) const;
 
   /// Simulator-guided evaluation (the paper's Section 5 workflow): predict
-  /// every program with the analytic model, but *measure* only the top
-  /// `measure_top_k` by prediction (plus the default AllReduce). This is how
-  /// P2 avoids evaluating hundreds of candidates on the real system.
+  /// every program with the analytic model, but *measure* only the default
+  /// AllReduce and the first `measure_top_k` programs of the stable
+  /// prediction order. This is how P2 avoids evaluating hundreds of
+  /// candidates on the real system.
   PlacementEvaluation EvaluatePlacementGuided(
       const core::ParallelismMatrix& matrix,
       std::span<const int> reduction_axes, int measure_top_k) const;

@@ -62,7 +62,6 @@ std::string ToJson(const PlacementEvaluation& eval) {
      << "\"branches_pruned\":" << eval.synthesis_stats.branches_pruned << ","
      << "\"instructions_tried\":" << eval.synthesis_stats.instructions_tried
      << "},"
-     << "\"guided_skipped\":" << eval.guided_skipped << ","
      << "\"programs\":[";
   for (std::size_t i = 0; i < eval.programs.size(); ++i) {
     const auto& p = eval.programs[i];
@@ -114,7 +113,6 @@ std::string ToJson(const ExperimentResult& result) {
      << ","
      << "\"synth_branches_pruned\":" << result.pipeline.synth_branches_pruned
      << ","
-     << "\"guided_skipped\":" << result.pipeline.guided_skipped << ","
      << "\"synthesis_seconds_saved\":"
      << Num(result.pipeline.synthesis_seconds_saved) << ","
      << "\"synthesis_seconds\":" << Num(result.pipeline.synthesis_seconds)

@@ -13,6 +13,8 @@
 namespace p2::engine {
 
 /// {"matrix": "[[1 2] [4 8]]", "synthesis_seconds": ...,
+///  "synthesis": {"states_visited": V, "states_deduped": D,
+///                "branches_pruned": B, "instructions_tried": I},
 ///  "programs": [{"text": ..., "shape": ..., "steps": N,
 ///                "predicted_seconds": ..., "measured_seconds": ...,
 ///                "measured": true, "default_allreduce": false}, ...]}
@@ -22,9 +24,11 @@ std::string ToJson(const PlacementEvaluation& eval);
 ///  "payload_bytes": ...,
 ///  "pipeline": {"placements": N, "unique_hierarchies": U, "cache_hits": H,
 ///               "cache_misses": M, "cache_dedup_waits": W,
+///               "cache_deferred_lookups": DL,
 ///               "cache_cross_tenant_hits": X, "cache_disk_hits": D,
-///               "cache_remote_hits": RH,
-///               "disk_seconds_saved": DS, "guided_skipped": G,
+///               "cache_remote_hits": RH, "disk_seconds_saved": DS,
+///               "synth_states_visited": V, "synth_states_deduped": SD,
+///               "synth_branches_pruned": B,
 ///               "synthesis_seconds_saved": S, "synthesis_seconds": SS,
 ///               "evaluation_seconds": ES, "total_seconds": TS,
 ///               "threads": T},
@@ -35,17 +39,24 @@ std::string ToJson(const PlacementEvaluation& eval);
 /// below.
 std::string ToJson(const ExperimentResult& result);
 
-/// {"requests": N, "cache_entries_loaded": L, "cache_entries_expired": EX,
+/// {"requests": N, "rejected": RJ, "cancelled": C, "deadline_exceeded": DE,
+///  "peak_in_flight": PF, "save_errors": SE, "last_save_error": "...",
+///  "cache_entries_loaded": L, "cache_entries_expired": EX,
 ///  "engines_constructed": E,
 ///  "cache": {"hits": H, "misses": M, "disk_hits": D, "remote_hits": RH,
 ///            "remote_errors": RE, "subsumed_hits": SH,
-///            "dedup_waits": W, "cross_tenant_hits": X, "evictions": EV,
+///            "dedup_waits": W, "deferred_lookups": DL,
+///            "continuations_fired": CF, "waiter_parks": WP,
+///            "cross_tenant_hits": X, "evictions": EV,
 ///            "seconds_saved": S, "disk_seconds_saved": DS},
-///  "threads": T,
+///  "threads": T, "latency_count": LC, "latency_p50_ms": ...,
+///  "latency_p95_ms": ..., "latency_p99_ms": ...,
 ///  "tenants": [{"id": 0, "fingerprint": ..., "cluster": ...,
 ///               "requests": R, "placements": P, "cache_hits": H,
 ///               "cache_misses": M, "cache_cross_tenant_hits": X,
-///               "cache_disk_hits": D, "synthesis_seconds_saved": S}, ...]}
+///               "cache_disk_hits": D, "rejected": RJ, "cancelled": C,
+///               "deadline_exceeded": DE, "peak_in_flight": PF,
+///               "synthesis_seconds_saved": S}, ...]}
 /// Emit this exactly once per PlannerService: cache_entries_loaded is the
 /// service's one-time preload, so repeating it per experiment (the old
 /// PipelineStats field) double-counted it in multi-config runs. The

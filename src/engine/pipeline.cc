@@ -178,57 +178,25 @@ PlacementEvaluation Pipeline::Evaluate(
 
   if (guided) {
     // Measure the default AllReduce and the top-k by prediction (stable on
-    // prediction ties, so the measured set is deterministic).
-    std::vector<int> order(eval.programs.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<int>(i);
-    }
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return eval.programs[static_cast<std::size_t>(a)].predicted_seconds <
-             eval.programs[static_cast<std::size_t>(b)].predicted_seconds;
-    });
-    auto measure = [&](int index) {
-      auto& p = eval.programs[static_cast<std::size_t>(index)];
-      if (p.measured) return;
-      p.measured_seconds =
-          measured_at(terminal_of[static_cast<std::size_t>(index)]);
+    // prediction ties, so the measured set is deterministic), and nothing
+    // else: the paper's guided workflow.
+    std::vector<std::size_t> order(eval.programs.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return eval.programs[a].predicted_seconds <
+                              eval.programs[b].predicted_seconds;
+                     });
+    const auto measure = [&](std::size_t index) {
+      ProgramEvaluation& p = eval.programs[index];
+      if (p.measured) return;  // the baseline may sit inside the top-k
+      p.measured_seconds = measured_at(terminal_of[index]);
       p.measured = true;
     };
     measure(0);  // the baseline is always measured
-    // Early stopping over the top-k: a candidate whose *prediction* already
-    // exceeds the incumbent's *measurement* by more than the model's
-    // observed overprediction is skipped — under every pred/meas ratio seen
-    // so far in this placement, its measurement could not beat the
-    // incumbent. The bound tightens as measurements accrue; everything here
-    // is a pure function of the (deterministic) predictions and
-    // measurements, so the measured set — and with it the whole result —
-    // stays byte-identical at any thread count and cache state.
-    double incumbent_measured = eval.programs.front().measured_seconds;
-    double overprediction = 1.0;  // max observed predicted/measured, >= 1
-    const auto observe = [&](const ProgramEvaluation& p) {
-      if (p.measured_seconds > 0.0) {
-        overprediction = std::max(overprediction,
-                                  p.predicted_seconds / p.measured_seconds);
-        incumbent_measured = std::min(incumbent_measured, p.measured_seconds);
-      }
-    };
-    observe(eval.programs.front());
-    for (int i = 0;
-         i < options_.measure_top_k && i < static_cast<int>(order.size());
-         ++i) {
-      const int index = order[static_cast<std::size_t>(i)];
-      auto& p = eval.programs[static_cast<std::size_t>(index)];
-      if (p.measured) continue;  // the baseline may sit inside the top-k
-      if (p.predicted_seconds > incumbent_measured * overprediction) {
-        // `order` is prediction-ascending, so once one candidate is
-        // provably behind, all remaining ones are too; counting them
-        // individually keeps the report honest about what was skipped.
-        ++eval.guided_skipped;
-        continue;
-      }
-      measure(index);
-      observe(p);
-    }
+    const std::size_t k = std::min(
+        static_cast<std::size_t>(options_.measure_top_k), order.size());
+    for (std::size_t i = 0; i < k; ++i) measure(order[i]);
   }
   return eval;
 }
@@ -269,19 +237,13 @@ ExperimentResult Pipeline::Run(
         engine_.options().collapse_hierarchy));
   }
   std::vector<std::vector<std::size_t>> members_of;
-  if (options_.cache_synthesis) {
-    std::unordered_map<std::string, std::size_t> group_of_signature;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = group_of_signature.try_emplace(
-          SynthesisCache::BaseKey(hierarchies[i], engine_.options().synthesis),
-          members_of.size());
-      if (inserted) members_of.emplace_back();
-      members_of[it->second].push_back(i);
-    }
-  } else {
-    // Cacheless: every placement is its own group and re-synthesizes.
-    members_of.resize(n);
-    for (std::size_t i = 0; i < n; ++i) members_of[i].push_back(i);
+  std::unordered_map<std::string, std::size_t> group_of_signature;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, inserted] = group_of_signature.try_emplace(
+        SynthesisCache::BaseKey(hierarchies[i], engine_.options().synthesis),
+        members_of.size());
+    if (inserted) members_of.emplace_back();
+    members_of[it->second].push_back(i);
   }
 
   // The engine's synthesis knobs plus this request's token. The token is
@@ -361,11 +323,6 @@ ExperimentResult Pipeline::Run(
     const auto& members = members_of[g];
     for (; state.next_member < members.size(); ++state.next_member) {
       const std::size_t i = members[state.next_member];
-      if (!options_.cache_synthesis) {
-        synthesis[i] = std::make_shared<const core::SynthesisResult>(
-            SynthesizePrograms(hierarchies[i], synth_options));
-        continue;
-      }
       if (!defer) {
         synthesis[i] = cache.GetOrSynthesize(hierarchies[i], synth_options,
                                              &outcomes[i], options_.tenant);
@@ -478,9 +435,7 @@ ExperimentResult Pipeline::Run(
         placement.synthesis_stats.states_deduped;
     result.pipeline.synth_branches_pruned +=
         placement.synthesis_stats.branches_pruned;
-    result.pipeline.guided_skipped += placement.guided_skipped;
-    // The synthesis runs this request performed itself: its misses (every
-    // placement, when cacheless).
+    // The synthesis runs this request performed itself: its misses.
     if (!outcomes[i].hit) {
       result.pipeline.synthesis_seconds += synthesis[i]->stats.seconds;
     }
@@ -492,23 +447,21 @@ ExperimentResult Pipeline::Run(
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache
   // deltas, which under concurrent requests would absorb everyone else's
-  // hits and misses). The cacheless path leaves all of it zero.
-  if (options_.cache_synthesis) {
-    for (const CacheLookupOutcome& o : outcomes) {
-      if (o.hit) {
-        ++result.pipeline.cache_hits;
-        result.pipeline.synthesis_seconds_saved += o.seconds_saved;
-        if (o.from_disk) {
-          ++result.pipeline.cache_disk_hits;
-          result.pipeline.disk_seconds_saved += o.seconds_saved;
-        }
-        if (o.from_remote) ++result.pipeline.cache_remote_hits;
-        if (o.cross_tenant) ++result.pipeline.cache_cross_tenant_hits;
-      } else {
-        ++result.pipeline.cache_misses;
+  // hits and misses).
+  for (const CacheLookupOutcome& o : outcomes) {
+    if (o.hit) {
+      ++result.pipeline.cache_hits;
+      result.pipeline.synthesis_seconds_saved += o.seconds_saved;
+      if (o.from_disk) {
+        ++result.pipeline.cache_disk_hits;
+        result.pipeline.disk_seconds_saved += o.seconds_saved;
       }
-      if (o.waited) ++result.pipeline.cache_dedup_waits;
+      if (o.from_remote) ++result.pipeline.cache_remote_hits;
+      if (o.cross_tenant) ++result.pipeline.cache_cross_tenant_hits;
+    } else {
+      ++result.pipeline.cache_misses;
     }
+    if (o.waited) ++result.pipeline.cache_dedup_waits;
   }
   result.pipeline.cache_deferred_lookups =
       deferred_events.load(std::memory_order_relaxed);

@@ -42,16 +42,11 @@ class PlannerService;
 /// Per-query knobs. Process-wide concerns — thread count, cache
 /// persistence — live in PlannerServiceOptions.
 struct PipelineOptions {
-  /// Memoize synthesis by hierarchy signature in the service's shared cache.
-  /// Off re-synthesizes per placement like the original monolith (the
-  /// serial reference of bench_pipeline and the tests).
-  bool cache_synthesis = true;
   /// < 0: measure every program iff the engine's options say so (the classic
-  /// full-evaluation path). >= 0: simulator-guided evaluation — predict
-  /// everything, measure only the default AllReduce plus the top-k programs
-  /// by prediction (paper Section 5), early-stopping candidates whose
-  /// prediction puts them provably behind the incumbent (see
-  /// PlacementEvaluation::guided_skipped).
+  /// full-evaluation path). >= 0: simulator-guided evaluation (paper
+  /// Section 5) — predict everything, then measure the default AllReduce
+  /// and the first k programs of the stable prediction order, and nothing
+  /// else.
   int measure_top_k = -1;
   /// The requesting tenant's id (engine/service.h), passed through to the
   /// shared cache so cross-tenant reuse is attributable; kNoTenant for

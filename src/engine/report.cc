@@ -80,10 +80,6 @@ std::string RenderPipelineStats(const PipelineStats& stats) {
   if (stats.cache_cross_tenant_hits > 0) {
     os << ", " << stats.cache_cross_tenant_hits << " cross-tenant hits";
   }
-  if (stats.guided_skipped > 0) {
-    os << "\nguided: " << stats.guided_skipped
-       << " measurements skipped by early stopping";
-  }
   if (stats.cache_remote_hits > 0) {
     os << ", " << stats.cache_remote_hits << " remote hits";
   }

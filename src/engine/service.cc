@@ -309,13 +309,6 @@ void PlannerService::AccumulateTenantStats(Tenant& tenant,
 
 PlanHandle PlannerService::Submit(PlanRequest request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (!options_.cache_file.empty()) {
-    // Persistence is the signature cache on disk: bypassing it would
-    // silently ignore the loaded entries and drop this request's results
-    // from the rewrite on save.
-    request.cache_synthesis = true;
-  }
-
   CancelSource source;
   if (request.deadline.has_value()) {
     // Relative to Submit, absolute from here on: the clock runs while the
@@ -394,7 +387,6 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
           Tenant& resolved = TenantForRequest(request);
           Pipeline pipeline(*this, *resolved.engine,
                             PipelineOptions{
-                                .cache_synthesis = request.cache_synthesis,
                                 .measure_top_k = request.measure_top_k,
                                 .tenant = resolved.id,
                                 .cancel = token,

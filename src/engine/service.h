@@ -178,10 +178,6 @@ struct PlanRequest {
   /// simulator-guided evaluation — predict everything, measure only the
   /// default AllReduce plus the top-k programs by prediction.
   int measure_top_k = -1;
-  /// Memoize synthesis in the service's shared cache. Off re-synthesizes
-  /// per placement like the original monolith (the bench's baseline); a
-  /// service with a cache_file forces it on for its requests.
-  bool cache_synthesis = true;
   /// Tenant selector: the machine to plan for. The service resolves it to
   /// an engine through the registry (constructing one on a new
   /// fingerprint), so one service serves any number of clusters. Without

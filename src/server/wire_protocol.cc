@@ -224,7 +224,6 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
   AppendI64(out, s.synth_states_visited);
   AppendI64(out, s.synth_states_deduped);
   AppendI64(out, s.synth_branches_pruned);
-  AppendI64(out, s.guided_skipped);
   AppendF64(out, s.synthesis_seconds_saved);
   AppendF64(out, s.disk_seconds_saved);
   AppendF64(out, s.synthesis_seconds);
@@ -244,7 +243,6 @@ bool DecodePipelineStats(Reader* r, engine::PipelineStats* s) {
          r->ReadI64(&s->synth_states_visited) &&
          r->ReadI64(&s->synth_states_deduped) &&
          r->ReadI64(&s->synth_branches_pruned) &&
-         r->ReadI64(&s->guided_skipped) &&
          r->ReadF64(&s->synthesis_seconds_saved) &&
          r->ReadF64(&s->disk_seconds_saved) &&
          r->ReadF64(&s->synthesis_seconds) &&

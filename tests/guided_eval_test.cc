@@ -2,7 +2,17 @@
 // predict everything, measure only the top-k candidates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "engine/engine.h"
+#include "engine/experiment_grid.h"
+#include "engine/service.h"
 #include "runtime/executor.h"
 #include "topology/presets.h"
 
@@ -13,6 +23,20 @@ Engine MakeEngine() {
   EngineOptions opts;
   opts.payload_bytes = 1e9;
   return Engine(topology::MakeA100Cluster(2), opts);
+}
+
+// Indices of `programs` in ascending predicted seconds, stable on ties: the
+// order guided evaluation measures in.
+std::vector<std::size_t> PredictionOrder(
+    const std::vector<ProgramEvaluation>& programs) {
+  std::vector<std::size_t> order(programs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return programs[a].predicted_seconds <
+                            programs[b].predicted_seconds;
+                   });
+  return order;
 }
 
 TEST(GuidedEvaluation, MeasuresOnlyTopKPlusBaseline) {
@@ -26,53 +50,91 @@ TEST(GuidedEvaluation, MeasuresOnlyTopKPlusBaseline) {
     if (p.measured) ++measured;
     EXPECT_GT(p.predicted_seconds, 0.0);  // everything predicted
   }
-  // Every top-k candidate is either measured or skipped by early stopping
-  // (provably behind the incumbent); the baseline may or may not sit inside
-  // the top-k, hence the +1.
-  EXPECT_GE(measured + eval.guided_skipped, k);
-  EXPECT_LE(measured + eval.guided_skipped, k + 1);
+  // The top min(k, n) by prediction, plus the baseline when it is not among
+  // them.
+  const std::vector<std::size_t> order = PredictionOrder(eval.programs);
+  const auto top = std::min(static_cast<std::size_t>(k), order.size());
+  const auto top_end = order.begin() + static_cast<std::ptrdiff_t>(top);
+  const bool baseline_in_top =
+      std::find(order.begin(), top_end, std::size_t{0}) != top_end;
+  EXPECT_EQ(measured, static_cast<int>(top) + (baseline_in_top ? 0 : 1));
   EXPECT_TRUE(eval.programs.front().measured);  // baseline always measured
   EXPECT_GT(static_cast<int>(eval.programs.size()), measured);
 }
 
-TEST(GuidedEvaluation, EarlyStoppingSkipsProvablySlowCandidates) {
-  // With k covering every program, each one is either measured or skipped —
-  // and on this placement the prediction spread guarantees skips: once a
-  // cheap candidate is measured, the expensive tail cannot catch up under
-  // the observed overprediction bound.
-  const auto eng = MakeEngine();
-  const core::ParallelismMatrix m({{2, 4}, {1, 4}});
-  const std::vector<int> axes = {0};
-  const int k = 1000;  // >= the program count: the whole list is "top-k"
-  const auto eval = eng.EvaluatePlacementGuided(m, axes, k);
-  ASSERT_LT(static_cast<int>(eval.programs.size()), k);
-
-  int measured = 0;
-  for (const auto& p : eval.programs) {
-    if (p.measured) ++measured;
-  }
-  EXPECT_GT(eval.guided_skipped, 0);
-  EXPECT_EQ(measured + eval.guided_skipped,
-            static_cast<int>(eval.programs.size()));
-
-  // Safety: the incumbent only improves, so anything skipped had a
-  // prediction strictly worse than the final best measurement — the skip
-  // can only drop programs the measured winner already beats on prediction.
-  const auto& best =
-      eval.programs[static_cast<std::size_t>(eval.BestMeasuredIndex())];
-  for (const auto& p : eval.programs) {
-    if (!p.measured) {
-      EXPECT_GT(p.predicted_seconds, best.measured_seconds);
+// Differential check of the guided workflow against measuring everything:
+// each config is planned twice on one Engine, once guided at k and once
+// with every program measured. Per placement the guided run must have
+// measured exactly the default AllReduce plus the first k programs of the
+// stable prediction order, with the full run's bits, and its best must be
+// the exact minimum of the full run's measurements over that set — no
+// heuristic may drop a candidate or measure an extra one.
+void CheckGuidedAgainstFull(const topology::Cluster& cluster,
+                            std::initializer_list<int> top_ks) {
+  EngineOptions opts;
+  opts.payload_bytes = 1e8;
+  const Engine engine(cluster, opts);
+  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  for (const ExperimentConfig& config : FullGrid(cluster)) {
+    PlanRequest request;
+    request.axes = config.axes;
+    request.reduction_axes = config.reduction_axes;
+    const ExperimentResult full = service.Plan(request);
+    for (const int k : top_ks) {
+      request.measure_top_k = k;
+      const ExperimentResult guided = service.Plan(request);
+      ASSERT_EQ(guided.placements.size(), full.placements.size());
+      for (std::size_t pi = 0; pi < full.placements.size(); ++pi) {
+        const auto& all = full.placements[pi].programs;
+        const PlacementEvaluation& placement = guided.placements[pi];
+        const auto& some = placement.programs;
+        const std::string where = cluster.ToString() + " " +
+                                  config.ToString() + " k=" +
+                                  std::to_string(k) + " placement " +
+                                  placement.matrix.ToString();
+        ASSERT_EQ(some.size(), all.size()) << where;
+        std::vector<bool> in_set(all.size(), false);
+        in_set[0] = true;
+        const std::vector<std::size_t> order = PredictionOrder(all);
+        for (std::size_t r = 0;
+             r < std::min(static_cast<std::size_t>(k), order.size()); ++r) {
+          in_set[order[r]] = true;
+        }
+        double best = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < all.size(); ++i) {
+          ASSERT_TRUE(all[i].measured) << where;
+          EXPECT_EQ(some[i].text, all[i].text) << where << " program " << i;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(some[i].predicted_seconds),
+                    std::bit_cast<std::uint64_t>(all[i].predicted_seconds))
+              << where << " program " << i;
+          EXPECT_EQ(some[i].measured, in_set[i])
+              << where << " program " << i;
+          if (!in_set[i]) continue;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(some[i].measured_seconds),
+                    std::bit_cast<std::uint64_t>(all[i].measured_seconds))
+              << where << " program " << i;
+          best = std::min(best, all[i].measured_seconds);
+        }
+        const auto& guided_best =
+            some[static_cast<std::size_t>(placement.BestMeasuredIndex())];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(guided_best.measured_seconds),
+                  std::bit_cast<std::uint64_t>(best))
+            << where;
+      }
     }
   }
+}
 
-  // Determinism: the skip rule is a pure function of the (deterministic)
-  // predictions and measurements.
-  const auto again = eng.EvaluatePlacementGuided(m, axes, k);
-  EXPECT_EQ(again.guided_skipped, eval.guided_skipped);
-  for (std::size_t i = 0; i < eval.programs.size(); ++i) {
-    EXPECT_EQ(again.programs[i].measured, eval.programs[i].measured) << i;
+TEST(GuidedEvaluation, MeasuresExactlyThePredictedTopKOnEveryPresetGrid) {
+  for (const topology::Cluster& cluster :
+       {topology::MakeA100Cluster(2), topology::MakeA100Cluster(4),
+        topology::MakeV100Cluster(2), topology::MakeV100Cluster(8)}) {
+    CheckGuidedAgainstFull(cluster, {0, 1, 5, 20});
   }
+}
+
+TEST(GuidedEvaluation, MeasuresExactlyThePredictedTopKOnTheRackedGrid) {
+  CheckGuidedAgainstFull(topology::MakeRackedA100Cluster(2, 2), {5});
 }
 
 TEST(GuidedEvaluation, FindsTheSameWinnerAsFullEvaluation) {

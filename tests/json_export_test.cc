@@ -63,8 +63,8 @@ TEST(JsonExport, ExperimentResultIncludesConfig) {
 
 TEST(JsonExport, PipelineStatsCarryTheDashboardFields) {
   // The ROADMAP's cost-model-fidelity item: unique hierarchies, seconds
-  // saved, disk hits — plus the ISSUE 5 cross-tenant and early-stopping
-  // counters — all flow to the dashboards through the experiment JSON.
+  // saved, disk hits — plus the cross-tenant counter — all flow to the
+  // dashboards through the experiment JSON.
   EngineOptions opts;
   opts.payload_bytes = 1e8;
   const Engine eng(topology::MakeA100Cluster(2), opts);
@@ -74,9 +74,9 @@ TEST(JsonExport, PipelineStatsCarryTheDashboardFields) {
   for (const char* field :
        {"\"unique_hierarchies\":", "\"cache_hits\":", "\"cache_misses\":",
         "\"cache_cross_tenant_hits\":", "\"cache_disk_hits\":",
-        "\"guided_skipped\":", "\"synthesis_seconds_saved\":",
-        "\"synthesis_seconds\":", "\"evaluation_seconds\":",
-        "\"total_seconds\":", "\"disk_seconds_saved\":"}) {
+        "\"synthesis_seconds_saved\":", "\"synthesis_seconds\":",
+        "\"evaluation_seconds\":", "\"total_seconds\":",
+        "\"disk_seconds_saved\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
 }

@@ -4,9 +4,10 @@
 // must equal what lowering each program with core::LowerProgram and costing
 // it with the uncached CostModel / Executor gives: the same programs after
 // the default-AllReduce dedup, the same predicted and measured bits, the
-// same guided measurement set and early-stopping count. Results must not
-// depend on the thread count; the member evaluations of one group share its
-// trie from several workers at once.
+// same guided measurement set (the default AllReduce plus the first k of the
+// stable prediction order). Results must not depend on the thread count;
+// the member evaluations of one group share its trie from several workers
+// at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,26 +95,9 @@ class Oracle {
                               eval.programs[b].predicted_seconds;
                      });
     measure(0);
-    double incumbent = eval.programs[0].measured_seconds;
-    double overprediction = 1.0;
-    const auto observe = [&](const ProgramEvaluation& p) {
-      if (p.measured_seconds > 0.0) {
-        overprediction =
-            std::max(overprediction, p.predicted_seconds / p.measured_seconds);
-        incumbent = std::min(incumbent, p.measured_seconds);
-      }
-    };
-    observe(eval.programs[0]);
     for (std::size_t r = 0;
          r < static_cast<std::size_t>(top_k) && r < order.size(); ++r) {
-      ProgramEvaluation& p = eval.programs[order[r]];
-      if (p.measured) continue;
-      if (p.predicted_seconds > incumbent * overprediction) {
-        ++eval.guided_skipped;
-        continue;
-      }
-      measure(order[r]);
-      observe(p);
+      if (!eval.programs[order[r]].measured) measure(order[r]);
     }
     return eval;
   }
@@ -126,7 +110,6 @@ class Oracle {
 void ExpectSameEvaluation(const PlacementEvaluation& actual,
                           const PlacementEvaluation& expected,
                           const std::string& where) {
-  EXPECT_EQ(actual.guided_skipped, expected.guided_skipped) << where;
   ASSERT_EQ(actual.programs.size(), expected.programs.size()) << where;
   for (std::size_t i = 0; i < expected.programs.size(); ++i) {
     const ProgramEvaluation& a = actual.programs[i];
@@ -148,14 +131,14 @@ void ExpectSameEvaluation(const PlacementEvaluation& actual,
 
 // Plans every config of the cluster's appendix grid at 1 and 4 threads,
 // checks the two renderings are identical, and checks every placement of
-// the 4-thread run against the oracle. Returns the guided measurements
-// skipped over the grid.
+// the 4-thread run against the oracle. Returns the programs the grid left
+// unmeasured.
 std::int64_t CheckGrid(const Engine& engine, int top_k) {
   Oracle oracle(engine);
   PlannerService serial(engine, PlannerServiceOptions{.threads = 1});
   PlannerService parallel(engine, PlannerServiceOptions{.threads = 4});
   std::int64_t placements = 0;
-  std::int64_t total_skipped = 0;
+  std::int64_t unmeasured = 0;
   for (const ExperimentConfig& config : FullGrid(engine.cluster())) {
     PlanRequest request;
     request.axes = config.axes;
@@ -165,20 +148,19 @@ std::int64_t CheckGrid(const Engine& engine, int top_k) {
     EXPECT_EQ(CanonicalResultText(result),
               CanonicalResultText(serial.Plan(request)))
         << config.ToString();
-    std::int64_t skipped = 0;
     for (const PlacementEvaluation& placement : result.placements) {
       ExpectSameEvaluation(
           placement,
           oracle.Evaluate(placement.matrix, config.reduction_axes, top_k),
           config.ToString());
-      skipped += placement.guided_skipped;
+      unmeasured += std::count_if(
+          placement.programs.begin(), placement.programs.end(),
+          [](const ProgramEvaluation& p) { return !p.measured; });
       ++placements;
     }
-    EXPECT_EQ(result.pipeline.guided_skipped, skipped) << config.ToString();
-    total_skipped += skipped;
   }
   EXPECT_GT(placements, 0);
-  return total_skipped;
+  return unmeasured;
 }
 
 TEST(PipelineOracle, EveryProgramMeasuredOnV100MatchesTheUncachedOracle) {
@@ -188,13 +170,13 @@ TEST(PipelineOracle, EveryProgramMeasuredOnV100MatchesTheUncachedOracle) {
 
 TEST(PipelineOracle, GuidedTopFiveOnA100MatchesTheUncachedOracle) {
   const Engine engine(topology::MakeA100Cluster(4), SmallPayload());
-  // Early stopping skips some top-5 candidates on this grid, so the lazy
-  // measurement path is exercised both ways.
+  // Top-5 leaves programs unmeasured on this grid, so the lazy chain-measure
+  // path runs on some prefixes and not on others.
   EXPECT_GT(CheckGrid(engine, /*top_k=*/5), 0);
 }
 
-// Engine::EvaluatePlacement and EvaluatePlacementGuided run the cacheless
-// pipeline on a list of one placement: one signature group per placement.
+// Engine::EvaluatePlacement and EvaluatePlacementGuided run the pipeline on
+// a list of one placement, through a service whose cache starts empty.
 TEST(PipelineOracle, SinglePlacementEntryPointsMatchTheOracle) {
   const Engine engine(topology::MakeV100Cluster(2), SmallPayload());
   Oracle oracle(engine);

@@ -230,29 +230,6 @@ TEST(PipelinePersistence, CorruptFileRunsColdAndIsRepairedOnSave) {
   std::filesystem::remove(path);
 }
 
-TEST(PipelinePersistence, CacheFileImpliesTheSignatureCache) {
-  // cache_synthesis=false on a request against a persistent service would
-  // silently ignore the loaded entries and drop the run's results from the
-  // save; Submit forces the signature cache on instead.
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  const std::string path = TempPath("implies");
-  PlanRequest request;
-  request.axes = {8, 4};
-  request.reduction_axes = {0};
-  request.cache_synthesis = false;
-  {
-    PlannerService service(engine, PersistentOptions(path));
-    service.Plan(request);
-    ASSERT_TRUE(service.SaveCache());
-  }
-  PlannerService service(engine, PersistentOptions(path));
-  EXPECT_GT(service.cache_entries_loaded(), 0);  // the run was persisted
-  const auto result = service.Plan(request);
-  EXPECT_EQ(result.pipeline.cache_misses, 0);
-  EXPECT_GT(result.pipeline.cache_disk_hits, 0);  // and the entries served
-  std::filesystem::remove(path);
-}
-
 TEST(PipelinePersistence, SingleClusterFileWarmsAMultiTenantService) {
   // ISSUE 5: the persisted cache is keyed by hierarchy signature, which is
   // cluster-independent — so a file written by a classic single-cluster run

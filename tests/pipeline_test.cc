@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "engine/json_export.h"
+#include "engine/report.h"
 #include "engine/service.h"
 #include "topology/presets.h"
 
@@ -54,16 +55,20 @@ TEST(Pipeline, ResultIsIdenticalAtAnyThreadCount) {
 TEST(Pipeline, MatchesTheCachelessSerialPath) {
   const Engine eng(topology::MakeA100Cluster(2), FastOptions());
   PlannerService cached_service(eng, PlannerServiceOptions{.threads = 4});
-  PlannerService monolith_service(eng, PlannerServiceOptions{.threads = 1});
-  PlanRequest cached;
-  cached.axes = kAxes;
-  cached.reduction_axes = kReduce;
-  cached.cache_synthesis = true;
-  PlanRequest monolith = cached;
-  monolith.cache_synthesis = false;
-  EXPECT_EQ(
-      ToJson(WithoutTimings(cached_service.Plan(std::move(cached)))),
-      ToJson(WithoutTimings(monolith_service.Plan(std::move(monolith)))));
+  const ExperimentResult cached = cached_service.Plan(kAxes, kReduce);
+  // The serial reference: every placement synthesized afresh and evaluated
+  // alone by Engine::EvaluatePlacement, on an Engine of its own.
+  const Engine fresh(topology::MakeA100Cluster(2), FastOptions());
+  ExperimentResult serial;
+  serial.axes = kAxes;
+  serial.reduction_axes = kReduce;
+  serial.algo = fresh.options().algo;
+  serial.payload_bytes = fresh.payload_bytes();
+  for (const auto& matrix : fresh.SynthesizePlacements(kAxes)) {
+    serial.placements.push_back(fresh.EvaluatePlacement(matrix, kReduce));
+  }
+  EXPECT_EQ(CanonicalResultText(cached), CanonicalResultText(serial));
+  EXPECT_EQ(ToJson(WithoutTimings(cached)), ToJson(WithoutTimings(serial)));
 }
 
 TEST(Pipeline, DedupsIsomorphicHierarchies) {

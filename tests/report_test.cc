@@ -84,6 +84,32 @@ TEST(Report, RankThrowsOnEmpty) {
   EXPECT_THROW(MeasuredRankOfPredictedBest({}), std::invalid_argument);
 }
 
+TEST(Report, PipelineStatsPutEachSegmentOnItsLine) {
+  PipelineStats stats;
+  stats.num_placements = 12;
+  stats.unique_hierarchies = 4;
+  stats.cache_hits = 8;
+  stats.cache_misses = 4;
+  stats.synthesis_seconds_saved = 2.5;
+  stats.threads = 4;
+  stats.cache_dedup_waits = 1;
+  stats.cache_deferred_lookups = 2;
+  stats.cache_cross_tenant_hits = 3;
+  stats.cache_remote_hits = 5;
+  stats.cache_disk_hits = 6;
+  stats.disk_seconds_saved = 1.25;
+  stats.synth_states_visited = 100;
+  stats.synth_states_deduped = 20;
+  stats.synth_branches_pruned = 7;
+  EXPECT_EQ(RenderPipelineStats(stats),
+            "pipeline: 12 placements, 4 unique hierarchies, cache 8 hits / 4 "
+            "misses (2.50 s re-synthesis avoided), 4 threads, 1 in-flight "
+            "waits, 2 deferred lookups, 3 cross-tenant hits, 5 remote hits\n"
+            "disk cache: 6 disk hits (1.25 s saved across runs)\n"
+            "search: 100 states visited, 20 transpositions collapsed, 7 "
+            "subtrees replayed from the table");
+}
+
 TEST(Report, ServiceStatsRenderRobustnessCountersOnlyWhenNonzero) {
   PlannerServiceStats stats;
   stats.requests = 3;
