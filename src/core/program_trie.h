@@ -19,6 +19,13 @@
 // totals are bit-identical to them.
 //
 // A trie is immutable once built; concurrent readers need no locking.
+// The planner keeps one per signature in its synthesis cache
+// (engine/synthesis_cache.h): each entry holds the trie of the default
+// AllReduce followed by the entry's programs, built by the synthesis owner
+// before publication or, for entries loaded from disk or the cache plane,
+// on their first serve. A subsumed (truncated-cap) hit gets a trie of its
+// own truncated list. A list that does not lower leaves its entry without
+// a trie, and every serve that asks for one rethrows the build's error.
 #ifndef P2_CORE_PROGRAM_TRIE_H_
 #define P2_CORE_PROGRAM_TRIE_H_
 

@@ -96,9 +96,10 @@ struct PipelineStats {
   /// Synthesis and evaluation tasks interleave on the pool, so this is task
   /// time, not a stage's span.
   double synthesis_seconds = 0.0;
-  /// Lower/predict/measure time: the summed wall-clock of the per-placement
-  /// evaluation tasks plus that of building each signature group's program
-  /// trie (core/program_trie.h).
+  /// Replicate/predict/measure time: the summed wall-clock of the
+  /// per-placement evaluation tasks. Program tries (core/program_trie.h) are built inside
+  /// the cache lookups, by the owner of a synthesis or on an entry's first
+  /// serve, and count toward total_seconds only.
   double evaluation_seconds = 0.0;
   double total_seconds = 0.0;
   int threads = 1;

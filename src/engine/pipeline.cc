@@ -6,11 +6,9 @@
 #include <cmath>
 #include <exception>
 #include <functional>
-#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -279,10 +277,6 @@ ExperimentResult Pipeline::Run(
   struct GroupState {
     std::size_t next_member = 0;  ///< members resolved so far
     SynthesisCache::DeferredLookup deferred;
-    /// The group's lowered program list, built once every member is
-    /// resolved, and the time building it took.
-    std::optional<core::ProgramTrie> trie;
-    double trie_seconds = 0.0;
   };
   std::vector<GroupState> group_states(members_of.size());
   std::atomic<std::int64_t> deferred_events{0};
@@ -321,11 +315,20 @@ ExperimentResult Pipeline::Run(
     options_.cancel.ThrowIfCancelled();
     GroupState& state = group_states[g];
     const auto& members = members_of[g];
+    // The group's program list lowered on the synthesis hierarchy, as the
+    // cache serves it. Members share one list (one BaseKey plus one cap is
+    // one list), so only the last member's lookup asks for it: a subsumed
+    // hit builds a fresh trie for every ask. A deferral re-runs this task
+    // from the member that deferred, so the ask is never lost.
+    std::shared_ptr<const core::ProgramTrie> trie;
     for (; state.next_member < members.size(); ++state.next_member) {
       const std::size_t i = members[state.next_member];
+      std::shared_ptr<const core::ProgramTrie>* const want_trie =
+          state.next_member + 1 == members.size() ? &trie : nullptr;
       if (!defer) {
-        synthesis[i] = cache.GetOrSynthesize(hierarchies[i], synth_options,
-                                             &outcomes[i], options_.tenant);
+        synthesis[i] =
+            cache.GetOrSynthesize(hierarchies[i], synth_options, &outcomes[i],
+                                  options_.tenant, want_trie);
         continue;
       }
       // Reserve the pool slot BEFORE the lookup can register the
@@ -335,9 +338,23 @@ ExperimentResult Pipeline::Run(
       auto fire = std::make_shared<FireState>();
       fire->group = &group;
       fire->task = [&resolve, g] { resolve(g); };
-      SynthesisCache::TryLookupResult looked = cache.TryLookup(
-          hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
-          &state.deferred, &outcomes[i], options_.tenant);
+      // Not deferred: no continuation was registered, so the FireState is
+      // ours alone — neutralize it and release the unused reservation.
+      const auto release = [&] {
+        fire->fired.store(true, std::memory_order_relaxed);
+        group.AbandonDeferred();
+      };
+      SynthesisCache::TryLookupResult looked;
+      try {
+        looked = cache.TryLookup(
+            hierarchies[i], synth_options,
+            [fire, try_fire] { try_fire(fire); }, &state.deferred,
+            &outcomes[i], options_.tenant, want_trie);
+      } catch (...) {
+        // A served list that does not lower: no continuation either.
+        release();
+        throw;
+      }
       if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
         deferred_events.fetch_add(1, std::memory_order_relaxed);
         // Publish the pending fire for the cancel kick. If the kick already
@@ -354,39 +371,26 @@ ExperimentResult Pipeline::Run(
         // exactly one CommitDeferred re-runs this task.
         return;
       }
-      // Not deferred: no continuation was registered, so the FireState is
-      // ours alone — neutralize it and release the unused reservation.
-      fire->fired.store(true, std::memory_order_relaxed);
-      group.AbandonDeferred();
+      release();
       // The owner never defers on its own claim, so every in-flight
       // signature always has a running owner: owner chains cannot cycle.
       synthesis[i] = looked.state == SynthesisCache::TryLookupState::kOwned
                          ? cache.ResolveOwned(hierarchies[i], synth_options,
-                                              &outcomes[i], options_.tenant)
+                                              &outcomes[i], options_.tenant,
+                                              want_trie)
                          : std::move(looked.result);
     }
-    // All members resolved. They share one program list (one BaseKey plus
-    // one cap is one list), so the group lowers it once on the synthesis
-    // hierarchy, behind the default AllReduce every placement evaluates
-    // first.
-    const auto trie_start = std::chrono::steady_clock::now();
-    const std::size_t first = members.front();
-    const core::Program default_ar = DefaultAllReduceProgram();
-    state.trie.emplace(
-        hierarchies[first],
-        std::initializer_list<std::span<const core::Program>>{
-            std::span(&default_ar, 1), synthesis[first]->programs});
-    state.trie_seconds = SecondsSince(trie_start);
-    // Fan the group's evaluations into the same TaskGroup (submitting
-    // without waiting from inside a task is supported); they share the trie
-    // read-only.
+    // All members resolved. Fan the group's evaluations into the same
+    // TaskGroup (submitting without waiting from inside a task is
+    // supported); they share the trie read-only, and hold it even if the
+    // cache evicts its entry meanwhile.
     for (const std::size_t i : members) {
-      group.Submit([&, i, &trie = *state.trie] {
+      group.Submit([&, i, trie] {
         MaybeInjectFault("pipeline.evaluate");
         options_.cancel.ThrowIfCancelled();
         const auto eval_start = std::chrono::steady_clock::now();
         result.placements[i] =
-            Evaluate(placements[i], hierarchies[i], *synthesis[i], trie);
+            Evaluate(placements[i], hierarchies[i], *synthesis[i], *trie);
         eval_seconds[i] = SecondsSince(eval_start);
       });
     }
@@ -440,9 +444,6 @@ ExperimentResult Pipeline::Run(
       result.pipeline.synthesis_seconds += synthesis[i]->stats.seconds;
     }
     result.pipeline.evaluation_seconds += eval_seconds[i];
-  }
-  for (const GroupState& state : group_states) {
-    result.pipeline.evaluation_seconds += state.trie_seconds;
   }
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache

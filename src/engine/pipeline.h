@@ -3,9 +3,10 @@
 //
 //   enumerate placements -> dedup by synthesis-hierarchy signature
 //     -> synthesize once per signature (memoized in the service's shared
-//        SynthesisCache, with cross-request in-flight dedup)
-//     -> lower the group's program list once, into a prefix trie on the
-//        synthesis hierarchy (core/program_trie.h)
+//        SynthesisCache, with cross-request in-flight dedup); the cache
+//        hands back the program list with its prefix trie, lowered on the
+//        synthesis hierarchy (core/program_trie.h) once per cache entry,
+//        so a warm request builds no trie
 //     -> per placement, in parallel: replicate the trie's distinct steps
 //        onto its devices, cost them through the Engine's step-cost memo
 //        (each distinct lowered step is predicted and measured once per
@@ -18,9 +19,10 @@
 // number of pipelines (one per in-flight request) share synthesis results
 // and threads. One work loop runs every query: a resolve task per
 // signature group on a ThreadPool::TaskGroup of the shared pool, which
-// builds the group's trie and fans out one evaluation task per placement
-// once its group's synthesis is in hand; those tasks share the trie
-// read-only. Concurrent requests' tasks interleave fairly. Results are
+// fans out one evaluation task per placement once its group's synthesis
+// and trie are in hand; those tasks share the trie read-only. A served
+// list that does not lower (a corrupt preloaded entry) fails the request
+// with core::LowerProgram's message. Concurrent requests' tasks interleave fairly. Results are
 // written into preallocated slots and merged in enumeration order, which
 // makes the parallel output byte-identical to the serial path (modulo
 // wall-clock timing fields).
@@ -98,8 +100,8 @@ class Pipeline {
  private:
   /// Evaluates one placement. `trie` is its signature group's program
   /// list — the default AllReduce, then `synthesis.programs` — lowered on
-  /// the synthesis hierarchy; this replicates and costs its distinct steps
-  /// on `sh`.
+  /// the synthesis hierarchy, as the cache served it; this replicates and
+  /// costs its distinct steps on `sh`.
   PlacementEvaluation Evaluate(const core::ParallelismMatrix& matrix,
                                const core::SynthesisHierarchy& sh,
                                const core::SynthesisResult& synthesis,

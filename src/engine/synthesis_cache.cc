@@ -4,9 +4,14 @@
 #include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <initializer_list>
 #include <mutex>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <utility>
+
+#include "engine/baselines.h"
 
 namespace p2::engine {
 
@@ -48,6 +53,17 @@ std::shared_ptr<const core::SynthesisResult> Prefix(
       result.programs.begin(),
       result.programs.begin() + static_cast<std::ptrdiff_t>(cap));
   return prefix;
+}
+
+/// The trie every placement of `sh`'s signature evaluates: the default
+/// AllReduce, then `result`'s programs. Throws core::LowerProgram's
+/// std::invalid_argument when a program does not lower.
+std::shared_ptr<const core::ProgramTrie> BuildTrie(
+    const core::SynthesisHierarchy& sh, const core::SynthesisResult& result) {
+  const core::Program default_ar = DefaultAllReduceProgram();
+  return std::make_shared<const core::ProgramTrie>(
+      sh, std::initializer_list<std::span<const core::Program>>{
+              std::span(&default_ar, 1), result.programs});
 }
 
 /// The per-call latch a blocking GetOrSynthesize parks on. Its own
@@ -178,7 +194,8 @@ void SynthesisCache::EvictLocked() {
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    CacheLookupOutcome* outcome, std::int64_t tenant) {
+    CacheLookupOutcome* outcome, std::int64_t tenant,
+    std::shared_ptr<const core::ProgramTrie>* trie) {
   CacheLookupOutcome local;
   if (outcome == nullptr) outcome = &local;
   // Shared with the continuation: one an owner extracted before
@@ -189,14 +206,14 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
   for (;;) {
     TryLookupResult looked =
         Lookup(sh, options, [latch] { latch->Open(); }, &deferred, outcome,
-               tenant, /*park=*/true);
+               tenant, /*park=*/true, trie);
     if (looked.state == TryLookupState::kReady) return std::move(looked.result);
     if (looked.state == TryLookupState::kOwned) {
       // A wait that ends here — the owner died, or its entry could not
       // serve this cap — runs its own synthesis after all, so it is
       // recorded in the outcome but not as a dedup_wait.
       outcome->waited = waited;
-      return ResolveOwned(sh, options, outcome, tenant);
+      return ResolveOwned(sh, options, outcome, tenant, trie);
     }
     waited = true;
     if (!latch->Wait(options.cancel)) {
@@ -270,8 +287,11 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
-    const std::string& base, core::SynthesisResult fetched,
-    std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome) {
+    const std::string& base, const core::SynthesisHierarchy& sh,
+    core::SynthesisResult fetched,
+    std::shared_ptr<const core::ProgramTrie> entry_trie,
+    std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome,
+    std::shared_ptr<const core::ProgramTrie>* trie) {
   const double original_seconds = fetched.stats.seconds;
   // Like Preload: this process spent nothing synthesizing, so the served
   // result reports zero seconds while the foreign wall-clock lives on in
@@ -284,6 +304,7 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
       std::make_shared<const core::SynthesisResult>(std::move(fetched));
   entry.original_seconds = original_seconds;
   entry.max_programs = entry_cap;
+  entry.trie = std::move(entry_trie);
   // owner_tenant stays kNoTenant: the entry was synthesized by a foreign
   // process, not by any tenant of this one.
   Entry& published = PublishLocked(base, std::move(entry));
@@ -303,15 +324,18 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
     outcome->seconds_saved = original_seconds;
   }
   auto result = published.result;
+  auto held = published.trie;
   // Settle the flight we claimed before consulting the plane: waiters are
   // served from the adopted entry.
   SettleFlight(lock, base);
-  return subsumed ? Prefix(*result, cap) : result;
+  return Serve(base, sh, std::move(result), std::move(held), cap, subsumed,
+               trie);
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::ResolveOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    CacheLookupOutcome* outcome, std::int64_t tenant) {
+    CacheLookupOutcome* outcome, std::int64_t tenant,
+    std::shared_ptr<const core::ProgramTrie>* trie) {
   std::shared_ptr<RemoteCacheBackend> remote;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -326,28 +350,46 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ResolveOwned(
     core::SynthesisResult fetched;
     std::int64_t entry_cap = 0;
     if (ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
-      return AdoptRemoteHit(base, std::move(fetched), entry_cap,
-                            std::max<std::int64_t>(0, options.max_programs),
-                            outcome);
+      std::shared_ptr<const core::ProgramTrie> entry_trie;
+      try {
+        entry_trie = BuildTrie(sh, fetched);
+      } catch (const std::invalid_argument&) {
+        // A fetched list that does not lower is as untrustworthy as a hit
+        // for the wrong base: synthesize locally instead of adopting it.
+        std::unique_lock<std::mutex> lock(mu_);
+        ++stats_.remote_errors;
+      }
+      if (entry_trie != nullptr) {
+        return AdoptRemoteHit(base, sh, std::move(fetched),
+                              std::move(entry_trie), entry_cap,
+                              std::max<std::int64_t>(0, options.max_programs),
+                              outcome, trie);
+      }
     }
   }
   std::shared_ptr<const core::SynthesisResult> result;
+  std::shared_ptr<const core::ProgramTrie> entry_trie;
   try {
     result = std::make_shared<const core::SynthesisResult>(
         SynthesizePrograms(sh, options));
+    // Built before publication, so the waiters it wakes find it ready.
+    entry_trie = BuildTrie(sh, *result);
   } catch (...) {
     // The dead-owner contract: withdraw the flight, so every waiter retries
     // and claims the synthesis itself.
     AbandonOwned(sh, options);
     throw;
   }
-  CompleteOwned(sh, options, result, tenant);
+  if (trie != nullptr) *trie = entry_trie;
+  Complete(sh, options, result, std::move(entry_trie), tenant);
   return result;
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
-    std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-    std::int64_t tenant, bool waited, CacheLookupOutcome* outcome) {
+    std::unique_lock<std::mutex>& lock, const std::string& base,
+    Entry& entry, const core::SynthesisHierarchy& sh, std::int64_t cap,
+    std::int64_t tenant, bool waited, CacheLookupOutcome* outcome,
+    std::shared_ptr<const core::ProgramTrie>* trie) {
   TouchLocked(entry);
   ++stats_.hits;
   stats_.seconds_saved += entry.original_seconds;
@@ -371,16 +413,47 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
     outcome->seconds_saved = entry.original_seconds;
   }
   auto result = entry.result;
-  // The truncation copies up to `cap` programs — do it outside the lock,
-  // off the snapshotted shared_ptr, so concurrent lookups on other
-  // signatures never stall behind it. Truncating to a smaller cap is
-  // exact: the entry's program list is the smallest-first prefix of the
-  // full solution set, so its own prefix is precisely what a fresh
-  // synthesis under `cap` would return. The stats (and the counterfactual
-  // seconds) stay those of the run that produced the entry, like any other
-  // hit.
+  auto held = entry.trie;
   lock.unlock();
-  return subsumed ? Prefix(*result, cap) : result;
+  return Serve(base, sh, std::move(result), std::move(held), cap, subsumed,
+               trie);
+}
+
+std::shared_ptr<const core::SynthesisResult> SynthesisCache::Serve(
+    const std::string& base, const core::SynthesisHierarchy& sh,
+    std::shared_ptr<const core::SynthesisResult> result,
+    std::shared_ptr<const core::ProgramTrie> held, std::int64_t cap,
+    bool subsumed, std::shared_ptr<const core::ProgramTrie>* trie) {
+  // Truncating to a smaller cap is exact: the entry's program list is the
+  // smallest-first prefix of the full solution set, so its own prefix is
+  // precisely what a fresh synthesis under `cap` would return. The stats
+  // (and the counterfactual seconds) stay those of the run that produced
+  // the entry, like any other hit. The entry's trie has steps the prefix
+  // lacks, so a subsumed serve builds the prefix's own.
+  if (subsumed) {
+    auto prefix = Prefix(*result, cap);
+    if (trie != nullptr) *trie = BuildTrie(sh, *prefix);
+    return prefix;
+  }
+  if (trie != nullptr) {
+    if (held == nullptr) {
+      held = InstallTrie(base, result, BuildTrie(sh, *result));
+    }
+    *trie = std::move(held);
+  }
+  return result;
+}
+
+std::shared_ptr<const core::ProgramTrie> SynthesisCache::InstallTrie(
+    const std::string& base,
+    const std::shared_ptr<const core::SynthesisResult>& result,
+    std::shared_ptr<const core::ProgramTrie> built) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto it = entries_.find(base);
+  // Evicted or replaced meanwhile: `built` still matches the served list.
+  if (it == entries_.end() || it->second.result != result) return built;
+  if (it->second.trie == nullptr) it->second.trie = std::move(built);
+  return it->second.trie;
 }
 
 void SynthesisCache::SettleFlight(std::unique_lock<std::mutex>& lock,
@@ -398,15 +471,17 @@ void SynthesisCache::SettleFlight(std::unique_lock<std::mutex>& lock,
 SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     std::function<void()> on_resolved, DeferredLookup* deferred,
-    CacheLookupOutcome* outcome, std::int64_t tenant) {
+    CacheLookupOutcome* outcome, std::int64_t tenant,
+    std::shared_ptr<const core::ProgramTrie>* trie) {
   return Lookup(sh, options, std::move(on_resolved), deferred, outcome, tenant,
-                /*park=*/false);
+                /*park=*/false, trie);
 }
 
 SynthesisCache::TryLookupResult SynthesisCache::Lookup(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     std::function<void()> on_resolved, DeferredLookup* deferred,
-    CacheLookupOutcome* outcome, std::int64_t tenant, bool park) {
+    CacheLookupOutcome* outcome, std::int64_t tenant, bool park,
+    std::shared_ptr<const core::ProgramTrie>* trie) {
   if (outcome != nullptr) *outcome = CacheLookupOutcome{};
   const std::string base = BaseKey(sh, options);
   // Clamp like the synthesizer does: a non-positive cap means "no programs"
@@ -429,8 +504,8 @@ SynthesisCache::TryLookupResult SynthesisCache::Lookup(
   const auto it = entries_.find(base);
   if (it != entries_.end() && it->second.CanServe(cap)) {
     r.state = TryLookupState::kReady;
-    r.result = ServeHitLocked(lock, it->second, cap, tenant,
-                              /*waited=*/park && retry, outcome);
+    r.result = ServeHitLocked(lock, base, it->second, sh, cap, tenant,
+                              /*waited=*/park && retry, outcome, trie);
     return r;
   }
   const auto fit = inflight_.find(base);
@@ -457,6 +532,13 @@ SynthesisCache::TryLookupResult SynthesisCache::Lookup(
 void SynthesisCache::CompleteOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     std::shared_ptr<const core::SynthesisResult> result, std::int64_t tenant) {
+  Complete(sh, options, std::move(result), nullptr, tenant);
+}
+
+void SynthesisCache::Complete(
+    const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
+    std::shared_ptr<const core::SynthesisResult> result,
+    std::shared_ptr<const core::ProgramTrie> trie, std::int64_t tenant) {
   const std::string base = BaseKey(sh, options);
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
   const std::shared_ptr<const core::SynthesisResult> completed = result;
@@ -467,6 +549,7 @@ void SynthesisCache::CompleteOwned(
   entry.original_seconds = entry.result->stats.seconds;
   entry.max_programs = cap;
   entry.owner_tenant = tenant;
+  entry.trie = std::move(trie);
   PublishLocked(base, std::move(entry));
   ++stats_.misses;
   SettleFlight(lock, base);

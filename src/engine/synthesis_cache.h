@@ -51,6 +51,23 @@
 //    eviction for the whole window between publication and the last
 //    waiter's read.
 //
+//  - Lowered program tries: each entry also holds its signature's
+//    core::ProgramTrie — the default AllReduce, then the entry's programs,
+//    lowered on the synthesis hierarchy (core/program_trie.h) — which
+//    every lookup that asks for it gets back with the result, so a warm
+//    request only replicates and costs. The owner sequence (ResolveOwned)
+//    builds it after synthesis or a remote fetch, before publication, so
+//    the waiters publication wakes find it ready. Entries that arrive
+//    without a hierarchy (Preload, PublishByKey, a direct CompleteOwned)
+//    get theirs on their first serve that asks for one: built outside the
+//    lock, the first install wins, and no lookup waits for another's
+//    build. A trie covers the entry's whole list, so a subsumed hit builds
+//    the trie of its truncated list on every serve instead. A list that
+//    does not lower makes every serve that asks for its trie throw
+//    core::LowerProgram's std::invalid_argument, and no trie is ever
+//    installed for it; a remote hit that does not lower counts
+//    `remote_errors` and is synthesized locally instead of adopted.
+//
 // The cache can also be warmed from and persisted to disk across processes
 // via engine/cache_store.h (Preload/Snapshot below).
 #ifndef P2_ENGINE_SYNTHESIS_CACHE_H_
@@ -67,6 +84,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "core/program_trie.h"
 #include "core/synthesizer.h"
 #include "engine/remote_cache.h"
 
@@ -213,10 +231,12 @@ class SynthesisCache {
   /// concurrently; see the file comment. `outcome`, when non-null, receives
   /// how this particular call was resolved. `tenant` is an opaque caller
   /// identity (the service's tenant id) used only for the
-  /// cross-tenant-reuse accounting.
+  /// cross-tenant-reuse accounting. `trie`, when non-null, receives the
+  /// served program list's trie (see the file comment).
   std::shared_ptr<const core::SynthesisResult> GetOrSynthesize(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
+      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant,
+      std::shared_ptr<const core::ProgramTrie>* trie = nullptr);
 
   /// Non-blocking lookup. kReady serves a hit (stats and `outcome` filled).
   /// kOwned announces this caller as the in-flight owner — it must settle
@@ -230,27 +250,31 @@ class SynthesisCache {
   /// safe to invoke at any later time from any thread, including after the
   /// caller lost interest (fire-once guards belong to the caller).
   /// `deferred` is required; `outcome` is reset on every call, so the
-  /// settling call determines it.
-  TryLookupResult TryLookup(const core::SynthesisHierarchy& sh,
-                            const core::SynthesisOptions& options,
-                            std::function<void()> on_resolved,
-                            DeferredLookup* deferred,
-                            CacheLookupOutcome* outcome = nullptr,
-                            std::int64_t tenant = kNoTenant);
+  /// settling call determines it. `trie`, when non-null, receives the
+  /// served program list's trie on kReady.
+  TryLookupResult TryLookup(
+      const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
+      std::function<void()> on_resolved, DeferredLookup* deferred,
+      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant,
+      std::shared_ptr<const core::ProgramTrie>* trie = nullptr);
 
   /// The owner sequence of a kOwned TryLookup: consult the remote plane,
-  /// else synthesize; then publish (CompleteOwned) or, when the synthesis
-  /// throws, withdraw (AbandonOwned) and rethrow. A remote hit is adopted
-  /// into the table and counted as a hit + remote_hit in `outcome`; a local
-  /// synthesis leaves `outcome` a miss. A `waited` flag the caller set in
-  /// `outcome` beforehand is kept and, on a remote hit, counts dedup_waits.
+  /// else synthesize; build the entry's trie; then publish (CompleteOwned)
+  /// or, when the synthesis or the build throws, withdraw (AbandonOwned)
+  /// and rethrow. A remote hit is adopted into the table and counted as a
+  /// hit + remote_hit in `outcome`; a local synthesis leaves `outcome` a
+  /// miss. A `waited` flag the caller set in `outcome` beforehand is kept
+  /// and, on a remote hit, counts dedup_waits. `trie`, when non-null,
+  /// receives the served program list's trie.
   std::shared_ptr<const core::SynthesisResult> ResolveOwned(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
+      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant,
+      std::shared_ptr<const core::ProgramTrie>* trie = nullptr);
 
   /// Publishes the result of a kOwned TryLookup (the owner's miss — counted
   /// here), fires registered continuations, then publishes the entry to the
-  /// remote plane, if one is attached.
+  /// remote plane, if one is attached. The entry's trie is built on its
+  /// first serve that asks for one.
   void CompleteOwned(const core::SynthesisHierarchy& sh,
                      const core::SynthesisOptions& options,
                      std::shared_ptr<const core::SynthesisResult> result,
@@ -346,6 +370,9 @@ class SynthesisCache {
     /// The tenant whose query synthesized the entry (kNoTenant for
     /// preloaded or untagged entries).
     std::int64_t owner_tenant = kNoTenant;
+    /// The default AllReduce, then `result`'s programs, lowered on the
+    /// synthesis hierarchy; null until built (see the file comment).
+    std::shared_ptr<const core::ProgramTrie> trie;
     /// This base's position in lru_ (most-recently-used first).
     std::list<std::string>::iterator lru;
 
@@ -370,6 +397,12 @@ class SynthesisCache {
   /// Inserts or replaces the entry at `base` (mu_ held), maintaining the
   /// LRU list.
   Entry& PublishLocked(const std::string& base, Entry entry);
+  /// CompleteOwned with the entry's trie (null when not built yet).
+  void Complete(const core::SynthesisHierarchy& sh,
+                const core::SynthesisOptions& options,
+                std::shared_ptr<const core::SynthesisResult> result,
+                std::shared_ptr<const core::ProgramTrie> trie,
+                std::int64_t tenant);
   /// TryLookup with the blocking caller's accounting when `park` is set: a
   /// registration counts waiter_parks instead of deferred_lookups, and a
   /// retry that is served counts dedup_waits.
@@ -377,13 +410,35 @@ class SynthesisCache {
                          const core::SynthesisOptions& options,
                          std::function<void()> on_resolved,
                          DeferredLookup* deferred, CacheLookupOutcome* outcome,
-                         std::int64_t tenant, bool park);
+                         std::int64_t tenant, bool park,
+                         std::shared_ptr<const core::ProgramTrie>* trie);
   /// The hit path of Lookup: LRU touch, hit stats and outcome attribution,
-  /// then (unlocked) the exact subsumption truncation. `lock` must hold mu_
-  /// on entry; released on return.
+  /// then (unlocked) Serve. `lock` must hold mu_ on entry; released on
+  /// return.
   std::shared_ptr<const core::SynthesisResult> ServeHitLocked(
-      std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-      std::int64_t tenant, bool waited, CacheLookupOutcome* outcome);
+      std::unique_lock<std::mutex>& lock, const std::string& base,
+      Entry& entry, const core::SynthesisHierarchy& sh, std::int64_t cap,
+      std::int64_t tenant, bool waited, CacheLookupOutcome* outcome,
+      std::shared_ptr<const core::ProgramTrie>* trie);
+  /// Serves the entry at `base` (its `result` and `held` trie, snapshotted
+  /// under mu_) for `cap`, without mu_ held, so concurrent lookups never
+  /// stall behind a truncation or a trie build: the exact truncation when
+  /// `subsumed`, and, when `trie` is non-null, the served list's trie —
+  /// the prefix's own when subsumed, else `held`, built and installed if
+  /// the entry has none yet.
+  std::shared_ptr<const core::SynthesisResult> Serve(
+      const std::string& base, const core::SynthesisHierarchy& sh,
+      std::shared_ptr<const core::SynthesisResult> result,
+      std::shared_ptr<const core::ProgramTrie> held, std::int64_t cap,
+      bool subsumed, std::shared_ptr<const core::ProgramTrie>* trie);
+  /// Installs `built` as the trie of the entry at `base` unless the entry
+  /// is gone, now holds a different result than `result`, or already has
+  /// a trie (the first install wins). Returns the trie to serve: the
+  /// installed one, or `built` when nothing was installed. Takes mu_.
+  std::shared_ptr<const core::ProgramTrie> InstallTrie(
+      const std::string& base,
+      const std::shared_ptr<const core::SynthesisResult>& result,
+      std::shared_ptr<const core::ProgramTrie> built);
   /// Settles the flight at `base`: erases the announcement and extracts its
   /// continuations under `lock`, then (unlocked) fires them. `lock` must
   /// hold mu_ on entry; released on return.
@@ -401,12 +456,15 @@ class SynthesisCache {
                      const core::SynthesisOptions& options,
                      core::SynthesisResult* result, std::int64_t* entry_cap);
   /// Adopts a remote-plane hit while owning the flight at `base`: publishes
-  /// the fetched entry (serve seconds zeroed, original retained), counts a
-  /// hit + remote_hit, fills `outcome`, settles the flight, and returns the
-  /// (cap-truncated) result. Takes mu_.
+  /// the fetched entry with its trie (serve seconds zeroed, original
+  /// retained), counts a hit + remote_hit, fills `outcome`, settles the
+  /// flight, and Serves it. Takes mu_.
   std::shared_ptr<const core::SynthesisResult> AdoptRemoteHit(
-      const std::string& base, core::SynthesisResult fetched,
-      std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome);
+      const std::string& base, const core::SynthesisHierarchy& sh,
+      core::SynthesisResult fetched,
+      std::shared_ptr<const core::ProgramTrie> entry_trie,
+      std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome,
+      std::shared_ptr<const core::ProgramTrie>* trie);
   /// Drops least-recently-used entries until the cap holds, skipping bases
   /// with outstanding waiter reservations (mu_ held); a no-op when
   /// max_entries_ <= 0.

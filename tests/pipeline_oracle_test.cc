@@ -7,17 +7,21 @@
 // same guided measurement set (the default AllReduce plus the first k of the
 // stable prediction order). Results must not depend on the thread count;
 // the member evaluations of one group share its trie from several workers
-// at once.
+// at once. The tries live in the service's synthesis cache, so warm passes
+// and other tenants with the same signatures read the objects the first
+// pass built.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/lowering.h"
+#include "core/program_trie.h"
 #include "core/synthesis_hierarchy.h"
 #include "core/synthesizer.h"
 #include "engine/baselines.h"
@@ -193,6 +197,102 @@ TEST(PipelineOracle, SinglePlacementEntryPointsMatchTheOracle) {
           config.ToString());
     }
   }
+}
+
+using TrieBySignature =
+    std::map<std::string, std::shared_ptr<const core::ProgramTrie>>;
+
+// Plans every config of `engine`'s grid on `service` (under the engine's
+// cluster, so a multi-tenant service resolves it to `engine`'s tenant),
+// checks every placement against the oracle, and returns the trie the
+// service's cache holds for each signature the grid planned.
+TrieBySignature PlanGridAgainstTheOracle(PlannerService& service,
+                                         const Engine& engine, int top_k,
+                                         std::int64_t* misses) {
+  Oracle oracle(engine);
+  TrieBySignature tries;
+  for (const ExperimentConfig& config : FullGrid(engine.cluster())) {
+    PlanRequest request;
+    request.axes = config.axes;
+    request.reduction_axes = config.reduction_axes;
+    request.measure_top_k = top_k;
+    request.cluster = engine.cluster();
+    const ExperimentResult result = service.Plan(request);
+    *misses += result.pipeline.cache_misses;
+    for (const PlacementEvaluation& placement : result.placements) {
+      ExpectSameEvaluation(
+          placement,
+          oracle.Evaluate(placement.matrix, config.reduction_axes, top_k),
+          config.ToString());
+      const auto sh = core::SynthesisHierarchy::Build(
+          placement.matrix, config.reduction_axes,
+          engine.options().hierarchy_kind,
+          engine.options().collapse_hierarchy);
+      std::shared_ptr<const core::ProgramTrie> trie;
+      service.cache().GetOrSynthesize(sh, engine.options().synthesis, nullptr,
+                                      SynthesisCache::kNoTenant, &trie);
+      EXPECT_NE(trie, nullptr) << config.ToString();
+      tries.emplace(SynthesisCache::BaseKey(sh, engine.options().synthesis),
+                    std::move(trie));
+    }
+  }
+  EXPECT_FALSE(tries.empty());
+  return tries;
+}
+
+// A warm pass builds no trie: every signature group reads the object the
+// cold pass left in its cache entry, and both passes match the oracle.
+TEST(PipelineOracle, WarmPassesReadTheTriesTheColdPassBuilt) {
+  const Engine a100(topology::MakeA100Cluster(2), SmallPayload());
+  PlannerService service(a100, PlannerServiceOptions{.threads = 4});
+  const Engine& v100 = service.EngineFor(topology::MakeV100Cluster(2));
+  std::int64_t cold_misses = 0;
+  const TrieBySignature cold_a100 =
+      PlanGridAgainstTheOracle(service, a100, /*top_k=*/5, &cold_misses);
+  const TrieBySignature cold_v100 =
+      PlanGridAgainstTheOracle(service, v100, /*top_k=*/-1, &cold_misses);
+  EXPECT_GT(cold_misses, 0);
+
+  std::int64_t warm_misses = 0;
+  const TrieBySignature warm_a100 =
+      PlanGridAgainstTheOracle(service, a100, /*top_k=*/5, &warm_misses);
+  const TrieBySignature warm_v100 =
+      PlanGridAgainstTheOracle(service, v100, /*top_k=*/-1, &warm_misses);
+  EXPECT_EQ(warm_misses, 0);
+  const auto expect_same_objects = [](const TrieBySignature& cold,
+                                      const TrieBySignature& warm) {
+    ASSERT_EQ(warm.size(), cold.size());
+    for (const auto& [signature, trie] : cold) {
+      EXPECT_EQ(warm.at(signature).get(), trie.get()) << signature;
+    }
+  };
+  expect_same_objects(cold_a100, warm_a100);
+  expect_same_objects(cold_v100, warm_v100);
+}
+
+// Tenants of one service with different machines share the trie objects
+// of the signatures they share, and each tenant's answers stay the
+// oracle's.
+TEST(PipelineOracle, TenantsShareTheTriesOfSharedSignatures) {
+  PlannerServiceOptions options;
+  options.threads = 4;
+  options.engine = SmallPayload();
+  PlannerService service(options);
+  const Engine& a100 = service.EngineFor(topology::MakeA100Cluster(1));
+  const Engine& v100 = service.EngineFor(topology::MakeV100Cluster(2));
+  std::int64_t misses = 0;
+  const TrieBySignature on_a100 =
+      PlanGridAgainstTheOracle(service, a100, /*top_k=*/5, &misses);
+  const TrieBySignature on_v100 =
+      PlanGridAgainstTheOracle(service, v100, /*top_k=*/5, &misses);
+  int shared = 0;
+  for (const auto& [signature, trie] : on_a100) {
+    const auto it = on_v100.find(signature);
+    if (it == on_v100.end()) continue;
+    EXPECT_EQ(it->second.get(), trie.get()) << signature;
+    ++shared;
+  }
+  EXPECT_GT(shared, 0);
 }
 
 }  // namespace

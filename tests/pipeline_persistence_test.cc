@@ -16,9 +16,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/synthesis_hierarchy.h"
+#include "engine/cache_store.h"
 #include "engine/cli.h"
 #include "engine/json_export.h"
 #include "engine/report.h"
@@ -400,6 +403,68 @@ TEST(PipelinePersistence, SecondsSavedAccumulateAcrossRuns) {
   // These two accumulate in the same statements, so they are bitwise equal.
   EXPECT_DOUBLE_EQ(result.pipeline.synthesis_seconds_saved,
                    result.pipeline.disk_seconds_saved);
+  std::filesystem::remove(path);
+}
+
+// A preloaded entry that decodes but holds a program that does not lower:
+// every request planning its signature fails with LowerProgram's message,
+// again and again (no trie is ever installed for it, and nothing hangs),
+// while other signatures still plan — on the inline and the threaded path.
+TEST(PipelinePersistence, EntryThatDoesNotLowerFailsItsRequestsOnly) {
+  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
+  const std::vector<std::int64_t> bad_axes = {8, 4};
+  const std::vector<std::int64_t> good_axes = {2, 16};
+  const std::vector<int> reduce = {0};
+  const auto hierarchy_of = [&](const core::ParallelismMatrix& matrix) {
+    return core::SynthesisHierarchy::Build(
+        matrix, reduce, engine.options().hierarchy_kind,
+        engine.options().collapse_hierarchy);
+  };
+  const core::SynthesisHierarchy sh =
+      hierarchy_of(engine.SynthesizePlacements(bad_axes).front());
+  const std::string bad_base =
+      SynthesisCache::BaseKey(sh, engine.options().synthesis);
+  for (const auto& matrix : engine.SynthesizePlacements(good_axes)) {
+    ASSERT_NE(SynthesisCache::BaseKey(hierarchy_of(matrix),
+                                      engine.options().synthesis),
+              bad_base);
+  }
+
+  // Slicing at the deepest level derives only singleton groups.
+  CacheFileEntry entry;
+  entry.key = SynthesisCache::Key(sh, engine.options().synthesis);
+  entry.result.programs.push_back(
+      core::Program{core::Instruction{static_cast<int>(sh.levels().size()) - 1,
+                                      core::Form::InsideGroup(),
+                                      core::Collective::kAllReduce}});
+  const std::string path = TempPath("unlowerable");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << CacheStore::EncodeFile({entry});
+  }
+
+  for (const int threads : {1, 2}) {
+    PlannerServiceOptions options = PersistentOptions(path, /*readonly=*/true);
+    options.threads = threads;
+    PlannerService service(engine, options);
+    ASSERT_EQ(service.cache_load_status(), CacheLoadStatus::kOk);
+    ASSERT_EQ(service.cache_entries_loaded(), 1);
+    for (int round = 0; round < 2; ++round) {
+      try {
+        service.Plan(bad_axes, reduce);
+        ADD_FAILURE() << "planned a list that does not lower";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "LowerProgram: instruction derives no non-trivial "
+                      "groups"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    const ExperimentResult good = service.Plan(good_axes, reduce);
+    EXPECT_FALSE(good.placements.empty());
+    EXPECT_GT(good.pipeline.cache_misses, 0);
+  }
   std::filesystem::remove(path);
 }
 

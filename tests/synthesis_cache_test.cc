@@ -7,16 +7,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/fault_injection.h"
+#include "core/program_trie.h"
 #include "core/synthesis_hierarchy.h"
+#include "engine/baselines.h"
 
 namespace p2::engine {
 namespace {
@@ -722,6 +729,397 @@ TEST(SynthesisCache, ClearResetsEverything) {
   EXPECT_EQ(cache.stats().misses, 0);
   cache.GetOrSynthesize(IsomorphicA(), options);
   EXPECT_EQ(cache.stats().misses, 1);
+}
+
+// --- Lowered program tries held by the entries ------------------------------
+
+using TriePtr = std::shared_ptr<const core::ProgramTrie>;
+
+// `served` must be, node for node and step for step (fraction bits
+// included), the trie a fresh build over {default AllReduce, `programs`}
+// gives on `sh`.
+void ExpectFreshTrie(const TriePtr& served, const SynthesisHierarchy& sh,
+                     const std::vector<core::Program>& programs) {
+  ASSERT_NE(served, nullptr);
+  const core::Program default_ar = DefaultAllReduceProgram();
+  const core::ProgramTrie fresh(
+      sh, std::initializer_list<std::span<const core::Program>>{
+              std::span(&default_ar, 1), programs});
+  ASSERT_EQ(served->num_programs(), fresh.num_programs());
+  for (std::size_t p = 0; p < fresh.num_programs(); ++p) {
+    EXPECT_EQ(served->terminal(p), fresh.terminal(p)) << "program " << p;
+  }
+  ASSERT_EQ(served->nodes().size(), fresh.nodes().size());
+  for (std::size_t n = 0; n < fresh.nodes().size(); ++n) {
+    EXPECT_EQ(served->nodes()[n].parent, fresh.nodes()[n].parent) << n;
+    EXPECT_EQ(served->nodes()[n].step, fresh.nodes()[n].step) << n;
+  }
+  ASSERT_EQ(served->steps().size(), fresh.steps().size());
+  for (std::size_t i = 0; i < fresh.steps().size(); ++i) {
+    const core::SynthesisStep& a = served->steps()[i];
+    const core::SynthesisStep& e = fresh.steps()[i];
+    EXPECT_EQ(a.op, e.op) << "step " << i;
+    EXPECT_EQ(a.groups, e.groups) << "step " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.in_fraction),
+              std::bit_cast<std::uint64_t>(e.in_fraction))
+        << "step " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.out_fraction),
+              std::bit_cast<std::uint64_t>(e.out_fraction))
+        << "step " << i;
+  }
+}
+
+// A program that decodes but does not lower on IsomorphicA's hierarchy
+// (levels 1,1,8): slicing at the deepest level derives only singletons.
+core::Program Unlowerable() {
+  return {core::Instruction{2, core::Form::InsideGroup(),
+                            core::Collective::kAllReduce}};
+}
+
+TEST(SynthesisCacheTrie, OwnerPublishesItAndRepeatHitsShareIt) {
+  SynthesisCache cache;
+  const core::SynthesisOptions options;
+  TriePtr owned;
+  const auto result = cache.GetOrSynthesize(IsomorphicA(), options, nullptr,
+                                            SynthesisCache::kNoTenant, &owned);
+  EXPECT_EQ(cache.stats().misses, 1);
+  ExpectFreshTrie(owned, IsomorphicA(), result->programs);
+
+  // Plain blocking hits and non-blocking hits, on either isomorphic
+  // hierarchy, get the very same object back.
+  for (int round = 0; round < 2; ++round) {
+    TriePtr hit;
+    cache.GetOrSynthesize(IsomorphicB(), options, nullptr,
+                          SynthesisCache::kNoTenant, &hit);
+    EXPECT_EQ(hit.get(), owned.get());
+    SynthesisCache::DeferredLookup handle;
+    TriePtr tried;
+    const auto looked =
+        cache.TryLookup(IsomorphicA(), options, [] {}, &handle, nullptr,
+                        SynthesisCache::kNoTenant, &tried);
+    ASSERT_EQ(looked.state, SynthesisCache::TryLookupState::kReady);
+    EXPECT_EQ(tried.get(), owned.get());
+  }
+  EXPECT_EQ(cache.stats().hits, 4);
+}
+
+TEST(SynthesisCacheTrie, DeferredRetryIsServedTheOwnersTrie) {
+  SynthesisCache cache;
+  const core::SynthesisOptions options;
+  SynthesisCache::DeferredLookup owner_handle;
+  ASSERT_EQ(cache.TryLookup(IsomorphicA(), options, [] {}, &owner_handle)
+                .state,
+            SynthesisCache::TryLookupState::kOwned);
+  std::atomic<bool> fired{false};
+  SynthesisCache::DeferredLookup deferred;
+  ASSERT_EQ(cache.TryLookup(IsomorphicB(), options,
+                            [&] { fired.store(true); }, &deferred)
+                .state,
+            SynthesisCache::TryLookupState::kInFlight);
+
+  TriePtr owned;
+  const auto result = cache.ResolveOwned(IsomorphicA(), options, nullptr,
+                                         SynthesisCache::kNoTenant, &owned);
+  ASSERT_TRUE(fired.load());
+  ExpectFreshTrie(owned, IsomorphicA(), result->programs);
+
+  TriePtr retried;
+  const auto looked =
+      cache.TryLookup(IsomorphicB(), options, [] {}, &deferred, nullptr,
+                      SynthesisCache::kNoTenant, &retried);
+  ASSERT_EQ(looked.state, SynthesisCache::TryLookupState::kReady);
+  EXPECT_EQ(looked.result.get(), result.get());
+  EXPECT_EQ(retried.get(), owned.get());
+}
+
+TEST(SynthesisCacheTrie, ParkedWaiterIsServedTheOwnersTrie) {
+  SynthesisCache cache;
+  const core::SynthesisOptions options;
+  std::atomic<bool> owner_inside{false};
+  std::atomic<bool> waiter_started{false};
+  std::atomic<int> synth_calls{0};
+  FaultScope scope([&](std::string_view point) {
+    if (point != "synth.layer") return;
+    if (synth_calls.fetch_add(1) != 0) return;  // only the owner stalls
+    owner_inside.store(true);
+    // Hold the flight open until the waiter has parked behind it.
+    while (!waiter_started.load() || cache.stats().waiter_parks == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  TriePtr owned;
+  std::shared_ptr<const core::SynthesisResult> result;
+  std::thread owner([&] {
+    result = cache.GetOrSynthesize(IsomorphicA(), options, nullptr,
+                                   SynthesisCache::kNoTenant, &owned);
+  });
+  while (!owner_inside.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  TriePtr waited;
+  CacheLookupOutcome outcome;
+  std::thread waiter([&] {
+    waiter_started.store(true);
+    cache.GetOrSynthesize(IsomorphicB(), options, &outcome,
+                          SynthesisCache::kNoTenant, &waited);
+  });
+  owner.join();
+  waiter.join();
+  EXPECT_TRUE(outcome.hit);
+  EXPECT_TRUE(outcome.waited);
+  EXPECT_EQ(cache.stats().misses, 1);
+  ExpectFreshTrie(owned, IsomorphicA(), result->programs);
+  EXPECT_EQ(waited.get(), owned.get());
+}
+
+// A remote-plane backend that answers every lookup with one fixed entry.
+class FixedRemote : public RemoteCacheBackend {
+ public:
+  FixedRemote(std::string key, core::SynthesisResult result)
+      : key_(std::move(key)), result_(std::move(result)) {}
+
+  RemoteLookupResult Lookup(const std::string&, std::int64_t) override {
+    RemoteLookupResult reply;
+    reply.kind = RemoteLookupResult::Kind::kHit;
+    reply.key = key_;
+    reply.result = result_;
+    return reply;
+  }
+  bool Publish(const std::string&, const core::SynthesisResult&) override {
+    return true;
+  }
+
+ private:
+  std::string key_;
+  core::SynthesisResult result_;
+};
+
+TEST(SynthesisCacheTrie, RemoteAdoptionBuildsItBeforePublication) {
+  const core::SynthesisOptions options;
+  const core::SynthesisResult remote_result =
+      core::SynthesizePrograms(IsomorphicA(), options);
+  SynthesisCache cache;
+  cache.set_remote(std::make_shared<FixedRemote>(
+      SynthesisCache::Key(IsomorphicA(), options), remote_result));
+
+  TriePtr adopted;
+  CacheLookupOutcome outcome;
+  const auto result = cache.GetOrSynthesize(IsomorphicA(), options, &outcome,
+                                            SynthesisCache::kNoTenant,
+                                            &adopted);
+  EXPECT_TRUE(outcome.from_remote);
+  EXPECT_EQ(cache.stats().misses, 0);
+  ExpectFreshTrie(adopted, IsomorphicA(), remote_result.programs);
+
+  TriePtr hit;
+  cache.GetOrSynthesize(IsomorphicB(), options, nullptr,
+                        SynthesisCache::kNoTenant, &hit);
+  EXPECT_EQ(hit.get(), adopted.get());
+
+  // Adopting a bigger entry under a smaller cap serves the owner the
+  // prefix's own trie, while the entry keeps the whole list's.
+  SynthesisCache capped_cache;
+  capped_cache.set_remote(std::make_shared<FixedRemote>(
+      SynthesisCache::Key(IsomorphicA(), options), remote_result));
+  core::SynthesisOptions capped = options;
+  capped.max_programs = 2;
+  ASSERT_GT(remote_result.programs.size(), 2u);
+  TriePtr prefix_trie;
+  const auto prefix = capped_cache.GetOrSynthesize(
+      IsomorphicA(), capped, &outcome, SynthesisCache::kNoTenant,
+      &prefix_trie);
+  EXPECT_TRUE(outcome.from_remote);
+  EXPECT_TRUE(outcome.subsumed);
+  ASSERT_EQ(prefix->programs.size(), 2u);
+  EXPECT_EQ(prefix_trie->num_programs(), 3u);
+  ExpectFreshTrie(prefix_trie, IsomorphicA(), prefix->programs);
+  TriePtr whole;
+  capped_cache.GetOrSynthesize(IsomorphicA(), options, nullptr,
+                               SynthesisCache::kNoTenant, &whole);
+  ExpectFreshTrie(whole, IsomorphicA(), remote_result.programs);
+}
+
+TEST(SynthesisCacheTrie, RemoteListThatDoesNotLowerIsSynthesizedLocally) {
+  const core::SynthesisOptions options;
+  core::SynthesisResult corrupt;
+  corrupt.programs.push_back(Unlowerable());
+  SynthesisCache cache;
+  cache.set_remote(std::make_shared<FixedRemote>(
+      SynthesisCache::Key(IsomorphicA(), options), corrupt));
+
+  TriePtr trie;
+  CacheLookupOutcome outcome;
+  const auto result = cache.GetOrSynthesize(IsomorphicA(), options, &outcome,
+                                            SynthesisCache::kNoTenant, &trie);
+  EXPECT_FALSE(outcome.hit);
+  EXPECT_EQ(cache.stats().remote_errors, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  const auto fresh = core::SynthesizePrograms(IsomorphicA(), options);
+  ASSERT_EQ(result->programs, fresh.programs);
+  ExpectFreshTrie(trie, IsomorphicA(), fresh.programs);
+}
+
+TEST(SynthesisCacheTrie, EntriesWithoutAHierarchyInstallOneOnFirstServe) {
+  const core::SynthesisOptions options;
+  SynthesisCache donor;
+  donor.GetOrSynthesize(IsomorphicA(), options);
+
+  // Preloaded from disk, published over the cache plane, or completed
+  // directly: each is built on its first serve that asks, then held.
+  SynthesisCache preloaded;
+  preloaded.Preload(donor.Snapshot());
+  SynthesisCache published;
+  const auto snapshot = donor.Snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  ASSERT_TRUE(published.PublishByKey(snapshot[0].first, snapshot[0].second));
+  SynthesisCache completed;
+  SynthesisCache::DeferredLookup handle;
+  ASSERT_EQ(completed.TryLookup(IsomorphicA(), options, [] {}, &handle).state,
+            SynthesisCache::TryLookupState::kOwned);
+  completed.CompleteOwned(IsomorphicA(), options,
+                          std::make_shared<const core::SynthesisResult>(
+                              snapshot[0].second));
+
+  for (SynthesisCache* cache : {&preloaded, &published, &completed}) {
+    // A lookup that does not ask builds nothing and breaks nothing.
+    cache->GetOrSynthesize(IsomorphicB(), options);
+    TriePtr first;
+    const auto result = cache->GetOrSynthesize(
+        IsomorphicB(), options, nullptr, SynthesisCache::kNoTenant, &first);
+    ExpectFreshTrie(first, IsomorphicB(), result->programs);
+    TriePtr again;
+    cache->GetOrSynthesize(IsomorphicA(), options, nullptr,
+                           SynthesisCache::kNoTenant, &again);
+    EXPECT_EQ(again.get(), first.get());
+  }
+}
+
+TEST(SynthesisCacheTrie, CrossTenantHitSharesTheOwnersTrie) {
+  // The machines of TenantsWithACommonSubHierarchyShareOneEntry.
+  const ParallelismMatrix on_a100({{2, 4}, {2, 4}});
+  const ParallelismMatrix on_v100({{2, 4}, {4, 2}});
+  const std::vector<int> raxes = {0};
+  const auto sh_a100 = SynthesisHierarchy::Build(
+      on_a100, raxes, SynthesisHierarchyKind::kReductionAxes);
+  const auto sh_v100 = SynthesisHierarchy::Build(
+      on_v100, raxes, SynthesisHierarchyKind::kReductionAxes);
+  SynthesisCache cache;
+  const core::SynthesisOptions options;
+  TriePtr owned;
+  cache.GetOrSynthesize(sh_a100, options, nullptr, /*tenant=*/0, &owned);
+  TriePtr shared;
+  CacheLookupOutcome outcome;
+  const auto served =
+      cache.GetOrSynthesize(sh_v100, options, &outcome, /*tenant=*/1, &shared);
+  EXPECT_TRUE(outcome.cross_tenant);
+  EXPECT_EQ(shared.get(), owned.get());
+  ExpectFreshTrie(shared, sh_v100, served->programs);
+}
+
+TEST(SynthesisCacheTrie, SubsumedHitServesItsOwnPrefixesTrie) {
+  SynthesisCache cache;
+  const core::SynthesisOptions unbounded;
+  TriePtr whole;
+  const auto full = cache.GetOrSynthesize(IsomorphicA(), unbounded, nullptr,
+                                          SynthesisCache::kNoTenant, &whole);
+  ASSERT_GT(full->programs.size(), 2u);
+
+  core::SynthesisOptions capped = unbounded;
+  for (const std::int64_t cap : {0, 1, 2}) {
+    capped.max_programs = cap;
+    TriePtr trie;
+    CacheLookupOutcome outcome;
+    const auto served = cache.GetOrSynthesize(
+        IsomorphicB(), capped, &outcome, SynthesisCache::kNoTenant, &trie);
+    ASSERT_TRUE(outcome.subsumed);
+    ASSERT_EQ(served->programs.size(), static_cast<std::size_t>(cap));
+    // Exactly the prefix plus the default AllReduce: the entry's trie
+    // would cost programs the capped list does not have.
+    EXPECT_EQ(trie->num_programs(), static_cast<std::size_t>(cap) + 1);
+    ExpectFreshTrie(trie, IsomorphicB(), served->programs);
+  }
+  // The entry's own trie is untouched.
+  TriePtr again;
+  cache.GetOrSynthesize(IsomorphicA(), unbounded, nullptr,
+                        SynthesisCache::kNoTenant, &again);
+  EXPECT_EQ(again.get(), whole.get());
+}
+
+TEST(SynthesisCacheTrie, EvictionDropsTheTrieWithTheEntry) {
+  SynthesisCache cache(/*max_entries=*/1);
+  const core::SynthesisOptions options;
+  std::weak_ptr<const core::ProgramTrie> held;
+  {
+    TriePtr trie;
+    cache.GetOrSynthesize(IsomorphicA(), options, nullptr,
+                          SynthesisCache::kNoTenant, &trie);
+    held = trie;
+  }
+  EXPECT_FALSE(held.expired());  // the entry holds it
+  cache.GetOrSynthesize(Different(), options);
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_TRUE(held.expired());
+}
+
+TEST(SynthesisCacheTrie, ConcurrentFirstServesInstallOneTrie) {
+  SynthesisCache donor;
+  const core::SynthesisOptions options;
+  donor.GetOrSynthesize(IsomorphicA(), options);
+  SynthesisCache cache;
+  cache.Preload(donor.Snapshot());
+
+  constexpr int kThreads = 8;
+  std::vector<TriePtr> tries(kThreads);
+  std::vector<std::shared_ptr<const core::SynthesisResult>> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[t] = cache.GetOrSynthesize(
+          t % 2 == 0 ? IsomorphicA() : IsomorphicB(), options, nullptr,
+          SynthesisCache::kNoTenant, &tries[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ExpectFreshTrie(tries[t], IsomorphicA(), results[t]->programs);
+  }
+  TriePtr later;
+  cache.GetOrSynthesize(IsomorphicA(), options, nullptr,
+                        SynthesisCache::kNoTenant, &later);
+  TriePtr again;
+  cache.GetOrSynthesize(IsomorphicB(), options, nullptr,
+                        SynthesisCache::kNoTenant, &again);
+  EXPECT_EQ(later.get(), again.get());
+  // A losing build hands back the winner's install.
+  for (const TriePtr& trie : tries) EXPECT_EQ(trie.get(), later.get());
+  EXPECT_EQ(cache.stats().misses, 0);
+}
+
+TEST(SynthesisCacheTrie, AListThatDoesNotLowerFailsEveryServeAndInstallsNone) {
+  const core::SynthesisOptions options;
+  core::SynthesisResult corrupt;
+  corrupt.programs.push_back(Unlowerable());
+  SynthesisCache cache;
+  cache.Preload({{SynthesisCache::Key(IsomorphicA(), options), corrupt}});
+  for (int round = 0; round < 2; ++round) {
+    TriePtr trie;
+    try {
+      cache.GetOrSynthesize(IsomorphicA(), options, nullptr,
+                            SynthesisCache::kNoTenant, &trie);
+      ADD_FAILURE() << "served a list that does not lower";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("LowerProgram"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(trie, nullptr);
+  }
+  // Lookups that do not ask for the trie are still served.
+  EXPECT_EQ(cache.GetOrSynthesize(IsomorphicA(), options)->programs,
+            corrupt.programs);
 }
 
 }  // namespace
